@@ -1,0 +1,70 @@
+"""Golden digests of whole rollouts, the byte-for-byte guard for refactors.
+
+Each case pins the sha256 of a rollout's per-tick trace arrays and of its
+Metrics. A change that alters any recorded number, however slightly,
+changes the digest. When a change is meant to alter traces, regenerate the
+digests with `python tests/test_digest.py` and say why in CHANGES.md.
+"""
+
+import dataclasses
+import hashlib
+import os
+
+import numpy as np
+import pytest
+
+from chunkshield.scenario import load_robot, load_scenario, resolve_robot_path
+from chunkshield.sim import compute_metrics, run_rollout
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+
+TRACE_FIELDS = ("t", "q_cmd", "dq_cmd", "q_true", "phase", "source", "adopted",
+                "stopped_unsafe", "min_margin", "max_energy", "plan_idx",
+                "obs_true")
+
+# (scenario, filter, seed) -> (trace digest, metrics digest)
+GOLDEN = {
+    ("adversarial_chase", "pacs", 3): (
+        "a4659157cccefce694d0b27ab0aaf7200a2e6e1d2fef200e63b2806c1679ca00",
+        "e7f5f2f2423f2f1301db1c4598e0d40ae0b4c08c742dc38f2ad87ba68e4398f1"),
+    ("bench", "pacs", 0): (
+        "f91c25cbb1778995fdda84f99c8887350819a276e1df1138aae6a6297f2958ec",
+        "f2c9d42dc26b0b0f2717ce860a06476df17e04cd5c51ce9f70da0e21deeaeb18"),
+    ("circle", "pacs-single", 2): (
+        "37d3c960ae0c9d5486d4d160b5fc8ef269afb95a6c3ed41a2854c8e13869fdb5",
+        "ae98dfe5a35eaa1ca1e3247ae03e4d52d1d7169c989ecd588759eb8e745e5613"),
+    ("cluttered", "cbf", 0): (
+        "dc6e629eef036dc81dc1c75e4867694a332abd43c278d1c4815ddee16bc9bb18",
+        "da76e73fe37d4055bf11efd48f8be2deafe88c4b80bdcb5ac1c3d9a9ea8d6700"),
+    ("cluttered", "pacs", 0): (
+        "7093634684c0d572469717f54f4b0938616d16b927c74116db37a1f477cd2546",
+        "c16aef9fe35bd1fa19ee6fa144c106388347054a83b54551e3f18e926f2623ac"),
+    ("interception", "off", 0): (
+        "9794e6632827ac79861e325b96f951f91c6c63b7bca6dc962dfcacc8d10bd675",
+        "70b7e808a327b158f89c7c01ee690145c982a70633080175e8dc531cee0fbd13"),
+}
+
+
+def digests(scenario, filter_name, seed):
+    path = os.path.join(SCENARIO_DIR, f"{scenario}.yaml")
+    cfg = load_scenario(path)
+    model = load_robot(resolve_robot_path(path, cfg))
+    trace = run_rollout(cfg, model, filter_name, seed)
+    metrics = compute_metrics(trace, model, cfg)
+    h = hashlib.sha256()
+    for name in TRACE_FIELDS:
+        h.update(np.ascontiguousarray(getattr(trace, name)).tobytes())
+    m = hashlib.sha256(repr(dataclasses.astuple(metrics)).encode())
+    return h.hexdigest(), m.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN),
+                         ids=lambda c: "/".join(map(str, c)))
+def test_rollout_digest(case):
+    assert digests(*case) == GOLDEN[case]
+
+
+if __name__ == "__main__":
+    for case in sorted(GOLDEN):
+        trace_digest, metrics_digest = digests(*case)
+        print(f"    {case!r}: (\n        {trace_digest!r},\n        {metrics_digest!r}),")
