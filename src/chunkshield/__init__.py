@@ -12,8 +12,6 @@ motion along the path, never bend it.
 
 from .chunks import (
     ActionChunk,
-    ReplayChunkSource,
-    ReplayExhausted,
     ScriptedPlanner,
     WaypointPath,
     integrate_chunk,
@@ -24,16 +22,12 @@ from .model import (
     KinematicLimits,
     RobotModel,
     capsule_points_batch,
-    kinetic_energy,
     kinetic_energy_batch,
 )
 from .occupancy import (
-    Ball,
-    Capsule,
     ObstacleState,
     RobotOccupancy,
     TimeInterval,
-    obstacle_occupancy,
     robot_occupancy,
 )
 from .profiles import (
@@ -69,8 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionChunk",
-    "Ball",
-    "Capsule",
     "CbfController",
     "CbfParams",
     "GeometricPath",
@@ -81,8 +73,6 @@ __all__ = [
     "ObstacleState",
     "PlannerSpec",
     "PlanningError",
-    "ReplayChunkSource",
-    "ReplayExhausted",
     "RobotModel",
     "RobotOccupancy",
     "RolloutTrace",
@@ -105,11 +95,9 @@ __all__ = [
     "ground_truth_check",
     "hold_profile",
     "integrate_chunk",
-    "kinetic_energy",
     "kinetic_energy_batch",
     "load_robot",
     "load_scenario",
-    "obstacle_occupancy",
     "plan_intended",
     "robot_occupancy",
     "run_rollout",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import RobotModel, as_joint_vector, capsule_points_batch
-from .occupancy import segment_point_distance
+from .occupancy import capsule_clearance
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,9 @@ def clearance(model: RobotModel, q, obstacles) -> float:
     link_r = np.array([c[3] for c in model.capsules])
     best = np.inf
     for obs in obstacles:
-        d = segment_point_distance(pts[:, 0], pts[:, 1], obs.measured_center)
         r = obs.shape_radius + obs.meas_error
-        best = min(best, float((d - link_r - r).min()))
+        best = min(best, float(capsule_clearance(pts[:, 0], pts[:, 1], link_r,
+                                                 obs.measured_center, r)))
     return best
 
 

@@ -2,8 +2,8 @@
 
 A chunk is what a chunked policy emits at one inference step: H deltas at
 sampling time dt. Only the first h deltas become the waypoint path the
-safety layer executes. The scripted planner and the replay reader stand
-in for a learned policy; both are deterministic given their inputs.
+safety layer executes. The scripted planner stands in for a learned
+policy; it is deterministic given its inputs.
 """
 
 from __future__ import annotations
@@ -13,10 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import JointState, KinematicLimits
-
-
-class ReplayExhausted(Exception):
-    """Raised when a replay chunk source has no chunks left."""
 
 
 @dataclass(frozen=True)
@@ -135,21 +131,3 @@ class ScriptedPlanner:
                 deltas[i] = step
                 pos = pos + step
         return ActionChunk(deltas=deltas, dt=self.dt, issued_at=t)
-
-
-@dataclass
-class ReplayChunkSource:
-    """Replays a fixed sequence of chunks, then signals exhaustion."""
-
-    chunks: tuple[ActionChunk, ...]
-    _cursor: int = field(default=0, init=False, repr=False)
-
-    def reset(self):
-        self._cursor = 0
-
-    def propose(self, t: float, state: JointState, rng) -> ActionChunk:
-        if self._cursor >= len(self.chunks):
-            raise ReplayExhausted(f"replay ended after {self._cursor} chunks")
-        chunk = self.chunks[self._cursor]
-        self._cursor += 1
-        return ActionChunk(deltas=chunk.deltas, dt=chunk.dt, issued_at=t)

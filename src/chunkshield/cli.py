@@ -18,10 +18,10 @@ import numpy as np
 
 from .chunks import ScriptedPlanner, integrate_chunk
 from .model import JointState, capsule_points_batch
-from .occupancy import segment_point_distance
+from .occupancy import capsule_clearance
 from .scenario import (FILTERS, ScenarioError, load_robot, load_scenario,
                        read_trace, resolve_robot_path, write_trace)
-from .sim import PHASES, compute_metrics, run_rollout, save_rollout_trace
+from .sim import PHASES, run_rollout, run_suite, save_rollout_trace
 from .trajectory import PlanningError, plan_intended
 
 
@@ -40,10 +40,9 @@ def cmd_run(args) -> int:
 
     episodes = []
     total_violations = 0
-    for i in range(args.reps):
-        seed = args.seed + i
-        trace = run_rollout(cfg, model, args.filter, seed)
-        m = compute_metrics(trace, model, cfg, path_dev=True)
+    seeds = range(args.seed, args.seed + args.reps)
+    for trace, m in run_suite(cfg, model, args.filter, seeds, path_dev=True):
+        seed = trace.seed
         total_violations += m.violations
         episodes.append({
             "seed": seed,
@@ -211,11 +210,9 @@ def cmd_plotdata(args) -> int:
             for j, spec in enumerate(cfg.obstacles[:n_obs]):
                 center = np.column_stack([col(f"obs{j}_x"), col(f"obs{j}_y"),
                                           col(f"obs{j}_z")])
-                d = segment_point_distance(caps_true[:, :, 0],
-                                           caps_true[:, :, 1],
-                                           center[:, None, :])
-                clear = np.minimum(
-                    clear, (d - cap_r[None, :] - spec.shape_radius).min(axis=1))
+                clear = np.minimum(clear, capsule_clearance(
+                    caps_true[:, :, 0], caps_true[:, :, 1], cap_r,
+                    center[:, None, :], spec.shape_radius))
 
         labels.append(os.path.basename(path))
         series = np.full(tick.shape[0], float(idx))

@@ -35,24 +35,6 @@ def as_joint_vector(values, n: int | None = None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Capsule:
-    """Capsule volume: segment p0-p1 swept by a sphere of given radius.
-
-    p0 == p1 degenerates to a sphere, which is allowed.
-    """
-
-    p0: np.ndarray
-    p1: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "p0", np.asarray(self.p0, dtype=float).reshape(3))
-        object.__setattr__(self, "p1", np.asarray(self.p1, dtype=float).reshape(3))
-        if not (self.radius > 0.0):
-            raise ValueError("capsule radius must be > 0")
-
-
-@dataclass(frozen=True)
 class KinematicLimits:
     """Per-joint position box and symmetric velocity/acceleration/jerk bounds."""
 
@@ -133,7 +115,6 @@ class RobotModel:
     limits: KinematicLimits
     tracking_error: float = 0.0
     motion_bound: float = field(init=False, default=0.0)
-    reach_radius: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         offs = np.asarray(self.joint_offsets, dtype=float)
@@ -183,7 +164,6 @@ class RobotModel:
             raise ValueError("tracking_error must be >= 0")
 
         object.__setattr__(self, "motion_bound", self._motion_bound())
-        object.__setattr__(self, "reach_radius", self._reach_radius())
 
         # Index/local-coordinate arrays for batched frame transforms.
         object.__setattr__(self, "_capsule_joints",
@@ -212,15 +192,6 @@ class RobotModel:
             for k in range(joint + 1):
                 total += off_norm[k + 1:joint + 1].sum() + ext
             worst = max(worst, total)
-        return float(worst)
-
-    def _reach_radius(self) -> float:
-        # Every surface point stays within this distance of the base origin.
-        off_norm = np.linalg.norm(self.joint_offsets, axis=1)
-        worst = 0.0
-        for joint, p0, p1, r in self.capsules:
-            ext = max(np.linalg.norm(p0), np.linalg.norm(p1)) + r
-            worst = max(worst, off_norm[:joint + 1].sum() + ext)
         return float(worst)
 
 
@@ -290,14 +261,6 @@ def mass_points_batch(model: RobotModel, qs: np.ndarray) -> np.ndarray:
     return o + np.einsum("mkij,kj->mki", r, model._mass_locals)
 
 
-def forward_kinematics(model: RobotModel, q) -> list[Capsule]:
-    """World-frame link capsules at configuration q, in model capsule order."""
-    q = as_joint_vector(q, model.n_joints)
-    pts = capsule_points_batch(model, q[None, :])[0]
-    return [Capsule(pts[i, 0], pts[i, 1], model.capsules[i][3])
-            for i in range(len(model.capsules))]
-
-
 def point_velocities_batch(model: RobotModel, qs: np.ndarray, dqs: np.ndarray) -> np.ndarray:
     """Linear velocities of all mass points for a batch of states, (m, n_masses, 3).
 
@@ -322,22 +285,8 @@ def point_velocities_batch(model: RobotModel, qs: np.ndarray, dqs: np.ndarray) -
     return out
 
 
-def point_velocities(model: RobotModel, q, dq) -> np.ndarray:
-    """Linear velocity (n_masses, 3) of each configured mass point."""
-    q = as_joint_vector(q, model.n_joints)
-    dq = as_joint_vector(dq, model.n_joints)
-    return point_velocities_batch(model, q[None, :], dq[None, :])[0]
-
-
 def kinetic_energy_batch(model: RobotModel, qs: np.ndarray, dqs: np.ndarray) -> np.ndarray:
     """Point-mass kinetic energy (J) for a batch of states."""
     vels = point_velocities_batch(model, qs, dqs)
     masses = np.array([m for _, _, m in model.masses])
     return 0.5 * np.einsum("k,mk->m", masses, np.einsum("mki,mki->mk", vels, vels))
-
-
-def kinetic_energy(model: RobotModel, q, dq) -> float:
-    """Sum of (1/2) m v^2 over all configured point masses (J)."""
-    q = as_joint_vector(q, model.n_joints)
-    dq = as_joint_vector(dq, model.n_joints)
-    return float(kinetic_energy_batch(model, q[None, :], dq[None, :])[0])

@@ -10,11 +10,12 @@ over-approximates; soundness is what the safety argument rests on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Capsule, RobotModel, capsule_points_batch
+from .model import RobotModel, capsule_points_batch
 
 
 @dataclass(frozen=True)
@@ -28,20 +29,12 @@ class TimeInterval:
 
 
 @dataclass(frozen=True)
-class Ball:
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center",
-                           np.asarray(self.center, dtype=float).reshape(3))
-        if not (self.radius >= 0.0):
-            raise ValueError("ball radius must be >= 0")
-
-
-@dataclass(frozen=True)
 class ObstacleState:
-    """A measured ball obstacle with declared motion and sensing bounds."""
+    """A measured ball obstacle with declared motion and sensing bounds.
+
+    Every field must be finite, so a corrupt measurement fails here rather
+    than inside the verifier.
+    """
 
     measured_center: np.ndarray
     shape_radius: float
@@ -50,11 +43,16 @@ class ObstacleState:
     meas_time: float
 
     def __post_init__(self):
-        object.__setattr__(self, "measured_center",
-                           np.asarray(self.measured_center, dtype=float).reshape(3))
+        center = np.asarray(self.measured_center, dtype=float).reshape(3)
+        if not np.isfinite(center).all():
+            raise ValueError("measured_center must be finite")
+        object.__setattr__(self, "measured_center", center)
         for name in ("shape_radius", "v_max_obj", "meas_error"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not math.isfinite(self.meas_time):
+            raise ValueError("meas_time must be finite")
 
     def occupancy_radius(self, t_b: float) -> float:
         """Ball radius covering all positions up to time t_b."""
@@ -64,15 +62,11 @@ class ObstacleState:
             + self.v_max_obj * (t_b - self.meas_time)
 
 
-def obstacle_occupancy(obs: ObstacleState, interval: TimeInterval) -> Ball:
-    """Every position the obstacle can occupy during the interval."""
-    if interval.t_a < obs.meas_time:
-        raise ValueError("interval starts before the obstacle measurement")
-    return Ball(obs.measured_center, obs.occupancy_radius(interval.t_b))
+def segment_closest(p0, p1, point):
+    """Distance from point to segment(s) p0-p1 and the closest segment point.
 
-
-def segment_point_distance(p0, p1, point):
-    """Distance from point to segment(s); broadcasts over leading dims."""
+    Broadcasts over leading dims; returns (distance, foot point).
+    """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     point = np.asarray(point, dtype=float)
@@ -80,14 +74,18 @@ def segment_point_distance(p0, p1, point):
     denom = np.einsum("...i,...i->...", d, d)
     t = np.einsum("...i,...i->...", point - p0, d)
     t = np.clip(t / np.where(denom > 0.0, denom, 1.0), 0.0, 1.0)
-    closest = p0 + t[..., None] * d
-    return np.linalg.norm(point - closest, axis=-1)
+    foot = p0 + t[..., None] * d
+    return np.linalg.norm(point - foot, axis=-1), foot
 
 
-def distance(capsule: Capsule, ball: Ball) -> float:
-    """Surface distance; negative values are penetration depth."""
-    d = segment_point_distance(capsule.p0, capsule.p1, ball.center)
-    return float(d - capsule.radius - ball.radius)
+def capsule_clearance(p0, p1, link_r, center, ball_r):
+    """Surface distance between link capsules and ball(s), minimum over links.
+
+    Links run along the last axis of link_r (and the second-to-last of
+    p0/p1); everything broadcasts. Negative values are penetration depth.
+    """
+    dist, _ = segment_closest(p0, p1, center)
+    return (dist - link_r - ball_r).min(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -109,32 +107,22 @@ class RobotOccupancy:
     def n_intervals(self) -> int:
         return self.radii.shape[0]
 
-    def interval(self, i: int) -> TimeInterval:
-        return TimeInterval(float(self.t_edges[i]), float(self.t_edges[i + 1]))
-
-    def capsules(self, i: int) -> list[Capsule]:
-        return [Capsule(self.p0[i, c], self.p1[i, c], float(self.radii[i, c]))
-                for c in range(self.radii.shape[1])]
-
-    def margins(self, obs: ObstacleState) -> np.ndarray:
-        """Per-interval lower bound on the distance to the obstacle (m).
-
-        Uses the obstacle occupancy ball of each subinterval's end time;
-        nonpositive entries mean the occupancies may intersect there.
-        """
-        return self.margins_batch([obs])[0]
-
     def margins_batch(self, obstacles) -> np.ndarray:
-        """margins() for several obstacles at once, shape (n_obs, m)."""
+        """Per-obstacle, per-interval lower bound on the distance (m).
+
+        Shape (n_obs, m). Uses each obstacle's occupancy ball at the
+        subinterval's end time, which presumes the measurement is no
+        later than the interval start; nonpositive entries mean the
+        occupancies may intersect there.
+        """
         centers = np.stack([o.measured_center for o in obstacles])
-        d = segment_point_distance(self.p0[None], self.p1[None],
-                                   centers[:, None, None, :])
         base = np.array([o.shape_radius + o.meas_error for o in obstacles])
         rate = np.array([o.v_max_obj for o in obstacles])
         t0 = np.array([o.meas_time for o in obstacles])
         obs_r = base[:, None] + rate[:, None] \
             * (self.t_edges[None, 1:] - t0[:, None])
-        return (d - self.radii[None] - obs_r[:, :, None]).min(axis=2)
+        return capsule_clearance(self.p0[None], self.p1[None], self.radii[None],
+                                 centers[:, None, None, :], obs_r[:, :, None])
 
 
 def robot_occupancy(model: RobotModel, traj, interval: TimeInterval,
@@ -177,8 +165,3 @@ def robot_occupancy(model: RobotModel, traj, interval: TimeInterval,
         s_edges=s,
         v_edges=v,
     )
-
-
-def intersects(occ: RobotOccupancy, obs: ObstacleState) -> np.ndarray:
-    """Per-interval intersection flags between robot and obstacle occupancy."""
-    return occ.margins(obs) <= 0.0

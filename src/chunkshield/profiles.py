@@ -207,10 +207,6 @@ class ScalarProfile:
         a = a_i + j_i * dt
         return s, v, a, j_i
 
-    def state_at(self, t: float) -> tuple[float, float, float]:
-        s, v, a, _ = self.sample(float(t))
-        return s, v, a
-
     def truncated(self, t_cut: float) -> "ScalarProfile":
         """Prefix of the profile ending at time t_cut (exact, same polynomials)."""
         t_cut = float(np.clip(t_cut, 0.0, self.duration))

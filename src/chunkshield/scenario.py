@@ -1,4 +1,4 @@
-"""Scenario and robot configuration files, trace and replay serialization.
+"""Scenario and robot configuration files and trace serialization.
 
 Configs are YAML; numbers round-trip exactly because emission uses
 shortest-repr floats. Trace files are deterministic CSV: given the same
@@ -9,13 +9,13 @@ measurements never enter them.
 from __future__ import annotations
 
 import io
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
-from .chunks import ActionChunk
 from .model import KinematicLimits, RobotModel
 from .shield import steps_per_chunk
 
@@ -69,8 +69,12 @@ class ObstacleSpec:
             raise ScenarioError(f"unknown obstacle pattern {self.pattern!r}")
         for name in ("shape_radius", "v_max_obj", "meas_error", "speed",
                      "radius_path"):
-            if getattr(self, name) < 0.0:
-                raise ScenarioError(f"obstacle {name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ScenarioError(f"obstacle {name} must be finite and >= 0")
+        if not all(map(math.isfinite, (self.omega, self.phase, *self.p0,
+                                       *self.p1, *self.center))):
+            raise ScenarioError("obstacle geometry must be finite")
         if self.pattern in ("linear_patrol",):
             if len(self.p0) != 3 or len(self.p1) != 3:
                 raise ScenarioError("linear_patrol needs p0 and p1")
@@ -126,14 +130,17 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ScenarioError(f"unknown safety mode {self.mode!r}")
+        if not all(math.isfinite(x) and x >= 0.0
+                   for x in (self.t_safe, self.energy_margin)):
+            raise ScenarioError("t_safe and energy_margin must be finite and >= 0")
         if self.mode == "ssm" and self.t_safe != 0.0:
             raise ScenarioError("ssm requires t_safe == 0")
-        if self.t_safe < 0.0 or self.energy_margin < 0.0:
-            raise ScenarioError("t_safe and energy_margin must be >= 0")
         if self.horizon < 1 or not (1 <= self.exec_steps <= self.horizon):
             raise ScenarioError("need 1 <= exec_steps <= horizon")
-        if self.dt_action <= 0.0 or self.alpha_s <= 0.0 or self.duration <= 0.0:
-            raise ScenarioError("dt_action, alpha_s and duration must be > 0")
+        if not all(math.isfinite(x) and x > 0.0
+                   for x in (self.dt_action, self.alpha_s, self.duration)):
+            raise ScenarioError(
+                "dt_action, alpha_s and duration must be finite and > 0")
         if self.goal_tol <= 0.0 or self.standoff < 0.0:
             raise ScenarioError("goal_tol must be > 0 and standoff >= 0")
         try:
@@ -374,50 +381,3 @@ def read_trace(path: str) -> tuple[dict, list[str], list[list[str]]]:
         raise ScenarioError(f"trace file {path} has no column header")
     return header, columns, rows
 
-
-# ---------------------------------------------------------------------------
-# Replay files: the exact chunk stream of a rollout, for reproduction.
-
-
-def write_replay(path: str, chunks: list[ActionChunk]) -> None:
-    if not chunks:
-        raise ScenarioError("cannot write an empty replay")
-    dt = chunks[0].dt
-    horizon = chunks[0].horizon
-    n = chunks[0].n_joints
-    buf = io.StringIO()
-    buf.write("# chunkshield-replay v1\n")
-    buf.write(f"# dt={_fmt(dt)} horizon={horizon} n_joints={n}\n")
-    for ch in chunks:
-        if ch.horizon != horizon or ch.n_joints != n or ch.dt != dt:
-            raise ScenarioError("replay chunks must share shape and dt")
-        buf.write(",".join(_fmt(v) for v in ch.deltas.ravel()) + "\n")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(buf.getvalue())
-
-
-def read_replay(path: str) -> list[ActionChunk]:
-    meta = None
-    chunks = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith("# dt="):
-                    fields = dict(part.split("=") for part in line[2:].split())
-                    meta = (float(fields["dt"]), int(fields["horizon"]),
-                            int(fields["n_joints"]))
-                continue
-            if meta is None:
-                raise ScenarioError(f"replay file {path} is missing its header")
-            dt, horizon, n = meta
-            vals = np.array([float(v) for v in line.split(",")])
-            if vals.size != horizon * n:
-                raise ScenarioError("replay row length does not match header")
-            chunks.append(ActionChunk(deltas=vals.reshape(horizon, n), dt=dt,
-                                      issued_at=0.0))
-    if not chunks:
-        raise ScenarioError(f"replay file {path} contains no chunks")
-    return chunks

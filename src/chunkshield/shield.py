@@ -11,6 +11,7 @@ exists, so interventions only ever change the timing along the path.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -33,7 +34,8 @@ class SafetySpec:
     mode "ssm" forbids any possible contact; "pfl" allows contact while
     the robot's kinetic energy bound stays at or below t_safe. delta_e is
     the multiplicative margin covering interior energy variation between
-    sampled interval endpoints.
+    sampled interval endpoints. t_safe, energy_margin and delta_e must be
+    finite and >= 0, since a NaN threshold would pass every comparison.
     """
 
     mode: str
@@ -45,8 +47,9 @@ class SafetySpec:
     def __post_init__(self):
         if self.mode not in ("ssm", "pfl"):
             raise ValueError(f"unknown safety mode {self.mode!r}")
-        if self.t_safe < 0.0 or self.energy_margin < 0.0 or self.delta_e < 0.0:
-            raise ValueError("thresholds and margins must be >= 0")
+        if not all(math.isfinite(x) and x >= 0.0
+                   for x in (self.t_safe, self.energy_margin, self.delta_e)):
+            raise ValueError("thresholds and margins must be finite and >= 0")
         if self.mode == "ssm" and self.t_safe != 0.0:
             raise ValueError("ssm requires t_safe == 0")
         if self.n_sub_cap < 1:
@@ -105,6 +108,11 @@ def verify(model: RobotModel, traj: Trajectory, window: TimeInterval,
     intersection; PFL tolerates intersecting intervals whose robot
     kinetic-energy upper bound plus margin stays within t_safe.
 
+    The check fails closed. A margin that is not a finite positive number
+    counts as possibly intersecting, and so does every subinterval of an
+    obstacle measured after window.t_a, whose occupancy ball would shrink
+    backwards in time.
+
     cache, when given, carries the occupancy (stored with window-relative
     times) and edge energies across calls whose candidate differs only by
     a uniform time shift; the caller owns invalidation.
@@ -126,57 +134,44 @@ def verify(model: RobotModel, traj: Trajectory, window: TimeInterval,
         if cache is not None:
             cache["occ"] = replace(occ, t_edges=occ.t_edges - window.t_a)
 
-    g1, _, _ = traj.path.derivative_bounds()
-    tangent_peak = float(g1.max()) if g1.size else 0.0
-    sweep_bound = model.reach_radius + model.tracking_error \
-        + 1.5 * model.motion_bound * tangent_peak \
-        * float(occ.s_edges[-1] - occ.s_edges[0])
-
-    # A cheap base-centered bound screens out far obstacles; its value is
-    # still a valid lower bound on their margins.
-    t_end = float(occ.t_edges[-1])
-    coarse = np.array([
-        float(np.linalg.norm(o.measured_center)) - o.occupancy_radius(t_end)
-        - sweep_bound for o in obstacles])
-    near = np.flatnonzero(coarse <= 0.0)
-    min_margin = float(coarse[coarse > 0.0].min()) if near.size < len(coarse) \
-        else np.inf
+    margins = occ.margins_batch(obstacles)
+    for k, o in enumerate(obstacles):
+        if o.meas_time > window.t_a:
+            margins[k] = -np.inf
+    min_margin = float(margins.min())
 
     max_energy = 0.0
     energies = cache.get("energies") if cache is not None else None
     first_violation = None
     safe = True
-    if near.size:
-        margins = occ.margins_batch([obstacles[k] for k in near])
-        min_margin = min(min_margin, float(margins.min()))
-        for row, k in enumerate(near):
-            bad = np.flatnonzero(margins[row] <= 0.0)
-            if bad.size == 0:
-                continue
-            if spec.mode == "ssm":
-                safe = False
-                if first_violation is None:
-                    i = int(bad[0])
-                    first_violation = (int(k), i, float(occ.t_edges[i]),
-                                       float(occ.t_edges[i + 1]))
-                continue
-            if energies is None:
-                dq = traj.path.derivative(occ.s_edges, 1) \
-                    * occ.v_edges[:, None]
-                q = traj.path.point(occ.s_edges)
-                energies = kinetic_energy_batch(model, q, dq)
-                if cache is not None:
-                    cache["energies"] = energies
-            bounds = (1.0 + spec.delta_e) * np.maximum(energies[bad],
-                                                       energies[bad + 1])
-            max_energy = max(max_energy, float(bounds.max()))
-            over = bounds + spec.energy_margin > spec.t_safe
-            if np.any(over):
-                safe = False
-                if first_violation is None:
-                    i = int(bad[np.argmax(over)])
-                    first_violation = (int(k), i, float(occ.t_edges[i]),
-                                       float(occ.t_edges[i + 1]))
+    for k in range(len(obstacles)):
+        # Not "margins <= 0": a NaN margin must count as intersecting.
+        bad = np.flatnonzero(~(margins[k] > 0.0))
+        if bad.size == 0:
+            continue
+        if spec.mode == "ssm":
+            safe = False
+            if first_violation is None:
+                i = int(bad[0])
+                first_violation = (k, i, float(occ.t_edges[i]),
+                                   float(occ.t_edges[i + 1]))
+            continue
+        if energies is None:
+            dq = traj.path.derivative(occ.s_edges, 1) * occ.v_edges[:, None]
+            q = traj.path.point(occ.s_edges)
+            energies = kinetic_energy_batch(model, q, dq)
+            if cache is not None:
+                cache["energies"] = energies
+        bounds = (1.0 + spec.delta_e) * np.maximum(energies[bad],
+                                                   energies[bad + 1])
+        max_energy = max(max_energy, float(bounds.max()))
+        over = bounds + spec.energy_margin > spec.t_safe
+        if np.any(over):
+            safe = False
+            if first_violation is None:
+                i = int(bad[np.argmax(over)])
+                first_violation = (k, i, float(occ.t_edges[i]),
+                                   float(occ.t_edges[i + 1]))
     return Verdict(safe=safe, min_margin=min_margin,
                    max_energy=max_energy, first_violation=first_violation,
                    n_intervals=occ.n_intervals)
@@ -307,14 +302,3 @@ class Shield:
                         adopted=verdict.safe, stopped_unsafe=stopped_unsafe,
                         wall_time=time.perf_counter() - start)
         return command, info
-
-    def run_chunk(self, measurement_stream, n_steps: int):
-        """Run exactly n_steps shield steps, one measurement list each."""
-        if n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        trace = []
-        for k in range(n_steps):
-            obstacles = measurement_stream(k) if callable(measurement_stream) \
-                else measurement_stream[k]
-            trace.append(self.step(obstacles))
-        return trace

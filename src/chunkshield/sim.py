@@ -25,7 +25,7 @@ from .cbf import CbfController, CbfParams
 from .chunks import ActionChunk, ScriptedPlanner, integrate_chunk
 from .model import (JointState, RobotModel, capsule_points_batch,
                     kinetic_energy_batch)
-from .occupancy import ObstacleState, segment_point_distance
+from .occupancy import ObstacleState, capsule_clearance, segment_closest
 from .scenario import (FILTERS, ObstacleSpec, ScenarioConfig, ScenarioError,
                        write_trace)
 from .shield import SafetySpec, Shield
@@ -39,12 +39,8 @@ _SOURCE_CODE = {name: i for i, name in enumerate(SOURCES)}
 
 def _nearest_surface(cap_p0, cap_p1, cap_r, x):
     """Distance from x to the nearest capsule surface and the axis foot point."""
-    d = cap_p1 - cap_p0
-    denom = np.einsum("ij,ij->i", d, d)
-    num = np.einsum("ij,ij->i", x[None, :] - cap_p0, d)
-    frac = np.where(denom > 1e-18, num / np.maximum(denom, 1e-18), 0.0)
-    feet = cap_p0 + np.clip(frac, 0.0, 1.0)[:, None] * d
-    dist = np.linalg.norm(x[None, :] - feet, axis=1) - cap_r
+    dist, feet = segment_closest(cap_p0, cap_p1, x)
+    dist = dist - cap_r
     i = int(np.argmin(dist))
     return float(dist[i]), feet[i]
 
@@ -150,12 +146,8 @@ class RolloutTrace:
 
 
 def run_rollout(cfg: ScenarioConfig, model: RobotModel, filter_name: str,
-                seed: int, chunk_source=None) -> RolloutTrace:
-    """Simulate one seeded episode of the scenario under the given filter.
-
-    chunk_source overrides the scripted planner (e.g. to replay a recorded
-    chunk stream); it must offer propose(t, state, rng).
-    """
+                seed: int) -> RolloutTrace:
+    """Simulate one seeded episode of the scenario under the given filter."""
     if filter_name not in FILTERS:
         raise ScenarioError(f"unknown filter {filter_name!r}")
     n = model.n_joints
@@ -182,10 +174,9 @@ def run_rollout(cfg: ScenarioConfig, model: RobotModel, filter_name: str,
         bias = np.random.default_rng(dist_ss).uniform(-1.0, 1.0, n) \
             * (model.tracking_error / model.motion_bound)
 
-    if chunk_source is None:
-        chunk_source = ScriptedPlanner(goals=goals, horizon=cfg.horizon,
-                                       dt=cfg.dt_action, step_cap=cfg.planner.step_cap,
-                                       noise=cfg.planner.noise, goal_tol=cfg.goal_tol)
+    planner = ScriptedPlanner(goals=goals, horizon=cfg.horizon,
+                              dt=cfg.dt_action, step_cap=cfg.planner.step_cap,
+                              noise=cfg.planner.noise, goal_tol=cfg.goal_tol)
     scripts = [ObstacleScript(o, cfg.standoff) for o in cfg.obstacles]
     movable = [sc for sc in scripts
                if not (sc.spec.pattern == "static" and sc.spec.v_max_obj == 0.0)]
@@ -236,7 +227,7 @@ def run_rollout(cfg: ScenarioConfig, model: RobotModel, filter_name: str,
     def _plan_chunk(state_q, state_dq, t_now, h_exec):
         nonlocal planning_failures, clamped_chunks
         state = JointState._trusted(state_q, state_dq, zeros, zeros)
-        chunk = chunk_source.propose(t_now, state, planner_rng)
+        chunk = planner.propose(t_now, state, planner_rng)
         chunks.append(chunk)
         wp = integrate_chunk(state_q, chunk, h_exec, model.limits)
         clamped_chunks += int(wp.clamped)
@@ -346,9 +337,9 @@ def true_clearances(trace: RolloutTrace, model: RobotModel,
     cap_r = np.array([c[3] for c in model.capsules])
     out = np.full(n_ticks, np.inf)
     for j, spec in enumerate(cfg.obstacles):
-        d = segment_point_distance(caps[:, :, 0], caps[:, :, 1],
-                                   trace.obs_true[:, j][:, None, :])
-        clear = (d - cap_r[None, :] - spec.shape_radius).min(axis=1)
+        clear = capsule_clearance(caps[:, :, 0], caps[:, :, 1], cap_r,
+                                  trace.obs_true[:, j][:, None, :],
+                                  spec.shape_radius)
         out = np.minimum(out, clear)
     return out
 
@@ -437,12 +428,10 @@ def compute_metrics(trace: RolloutTrace, model: RobotModel,
 
 def run_suite(cfg: ScenarioConfig, model: RobotModel, filter_name: str,
               seeds, path_dev: bool = False):
-    """Rollouts plus metrics for each seed, in order."""
-    out = []
+    """Yield (trace, metrics) per seed, in order, holding one trace at a time."""
     for seed in seeds:
         trace = run_rollout(cfg, model, filter_name, int(seed))
-        out.append((trace, compute_metrics(trace, model, cfg, path_dev=path_dev)))
-    return out
+        yield trace, compute_metrics(trace, model, cfg, path_dev=path_dev)
 
 
 # ---------------------------------------------------------------------------

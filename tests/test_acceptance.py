@@ -17,9 +17,8 @@ from chunkshield.model import capsule_points_batch
 from chunkshield.occupancy import (
     ObstacleState,
     TimeInterval,
-    obstacle_occupancy,
     robot_occupancy,
-    segment_point_distance,
+    segment_closest,
 )
 from chunkshield.profiles import time_optimal_profile
 from chunkshield.scenario import load_robot, load_scenario, resolve_robot_path
@@ -123,7 +122,7 @@ def test_occupancy_contains_admissible_motions():
     obs = ObstacleState(measured_center=[0.4, -0.2, 0.5], shape_radius=0.07,
                         v_max_obj=0.6, meas_error=0.004, meas_time=0.25)
     window = TimeInterval(0.25, 0.8)
-    ball = obstacle_occupancy(obs, window)
+    radius = obs.occupancy_radius(window.t_b)
     ts = rng.uniform(window.t_a, window.t_b, n)
     dir_meas = rng.normal(size=(n, 3))
     dir_meas /= np.linalg.norm(dir_meas, axis=1, keepdims=True)
@@ -133,8 +132,9 @@ def test_occupancy_contains_admissible_motions():
     dir_move /= np.linalg.norm(dir_move, axis=1, keepdims=True)
     travel = rng.uniform(0.0, obs.v_max_obj) * (ts - obs.meas_time)
     pos = start + dir_move * travel[:, None]
-    farthest = np.linalg.norm(pos - ball.center, axis=1) + obs.shape_radius
-    escapes = int(np.sum(farthest > ball.radius + 1e-12))
+    farthest = np.linalg.norm(pos - obs.measured_center, axis=1) \
+        + obs.shape_radius
+    escapes = int(np.sum(farthest > radius + 1e-12))
     assert escapes == 0, f"{escapes} obstacle samples escaped"
 
     # Cases 2 and 3: robot occupancy. True motion: the planned trajectory
@@ -162,8 +162,8 @@ def test_occupancy_contains_admissible_motions():
         # (n, caps, ends): distance of every true capsule endpoint to the
         # matching hull capsule axis.
         p = pts + offs[:, None, None, :]
-        d = segment_point_distance(occ.p0[idx][:, :, None, :],
-                                   occ.p1[idx][:, :, None, :], p)
+        d, _ = segment_closest(occ.p0[idx][:, :, None, :],
+                               occ.p1[idx][:, :, None, :], p)
         slack = occ.radii[idx][:, :, None] - (d + link_r[None, :, None])
         escapes = int(np.sum(slack < -1e-9))
         assert escapes == 0, \

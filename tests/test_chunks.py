@@ -5,8 +5,6 @@ import pytest
 
 from chunkshield.chunks import (
     ActionChunk,
-    ReplayChunkSource,
-    ReplayExhausted,
     ScriptedPlanner,
     integrate_chunk,
 )
@@ -125,20 +123,3 @@ class TestScriptedPlanner:
     def test_empty_goals_rejected(self):
         with pytest.raises(ValueError):
             ScriptedPlanner(goals=np.zeros((0, 2)), horizon=4, dt=0.1, step_cap=0.1)
-
-
-class TestReplaySource:
-    def test_fifo_and_exhaustion(self):
-        rng = np.random.default_rng(9)
-        chunks = tuple(ActionChunk(rng.uniform(-0.1, 0.1, (4, 2)), dt=0.1)
-                       for _ in range(3))
-        src = ReplayChunkSource(chunks)
-        state = JointState.rest([0.0, 0.0])
-        for k in range(3):
-            out = src.propose(k * 0.4, state, rng)
-            assert np.array_equal(out.deltas, chunks[k].deltas)
-            assert out.issued_at == pytest.approx(k * 0.4)
-        with pytest.raises(ReplayExhausted):
-            src.propose(1.2, state, rng)
-        src.reset()
-        assert np.array_equal(src.propose(0.0, state, rng).deltas, chunks[0].deltas)

@@ -5,17 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chunkshield.model import (
-    Capsule,
     JointState,
     KinematicLimits,
     RobotModel,
     as_joint_vector,
     capsule_points_batch,
-    forward_kinematics,
-    kinetic_energy,
     kinetic_energy_batch,
     mass_points_batch,
-    point_velocities,
+    point_velocities_batch,
 )
 
 L1, L2 = 0.4, 0.3
@@ -84,11 +81,11 @@ class TestForwardKinematics:
         rng = np.random.default_rng(3)
         for _ in range(25):
             q = rng.uniform(-np.pi, np.pi, 2)
-            caps = forward_kinematics(model, q)
-            assert np.allclose(caps[1].p1, tip_position(q), atol=1e-12)
+            caps = capsule_points_batch(model, q[None, :])[0]
+            assert np.allclose(caps[1, 1], tip_position(q), atol=1e-12)
             # Link 1 ends where link 2 begins.
-            assert np.allclose(caps[0].p1, caps[1].p0, atol=1e-12)
-            assert caps[0].radius == 0.05 and caps[1].radius == 0.04
+            assert np.allclose(caps[0, 1], caps[1, 0], atol=1e-12)
+            assert model.capsules[0][3] == 0.05 and model.capsules[1][3] == 0.04
 
     def test_batch_matches_loop(self):
         model = spatial_three_link()
@@ -102,7 +99,12 @@ class TestForwardKinematics:
     def test_wrong_joint_count_raises(self):
         model = planar_two_link()
         with pytest.raises(ValueError):
-            forward_kinematics(model, [0.0, 0.0, 0.0])
+            capsule_points_batch(model, [[0.0, 0.0, 0.0]])
+
+
+def energy(model, q, dq):
+    """Kinetic energy of one state through the batch function."""
+    return float(kinetic_energy_batch(model, np.atleast_2d(q), np.atleast_2d(dq))[0])
 
 
 class TestVelocitiesAndEnergy:
@@ -112,7 +114,7 @@ class TestVelocitiesAndEnergy:
         for _ in range(25):
             q = rng.uniform(-np.pi, np.pi, 2)
             dq = rng.uniform(-2.0, 2.0, 2)
-            v = point_velocities(model, q, dq)[0]
+            v = point_velocities_batch(model, q[None, :], dq[None, :])[0, 0]
             assert np.allclose(v, tip_velocity(q, dq), atol=1e-7)
 
     def test_energy_matches_analytic(self):
@@ -122,11 +124,11 @@ class TestVelocitiesAndEnergy:
             q = rng.uniform(-np.pi, np.pi, 2)
             dq = rng.uniform(-2.0, 2.0, 2)
             expected = 0.5 * 1.5 * float(tip_velocity(q, dq) @ tip_velocity(q, dq))
-            assert kinetic_energy(model, q, dq) == pytest.approx(expected, abs=1e-6)
+            assert energy(model, q, dq) == pytest.approx(expected, abs=1e-6)
 
     def test_energy_zero_at_rest(self):
         model = spatial_three_link()
-        assert kinetic_energy(model, [0.3, -0.2, 1.1], [0.0, 0.0, 0.0]) == 0.0
+        assert energy(model, [0.3, -0.2, 1.1], [0.0, 0.0, 0.0]) == 0.0
 
     def test_energy_batch_matches_scalar(self):
         model = spatial_three_link()
@@ -135,14 +137,14 @@ class TestVelocitiesAndEnergy:
         dqs = rng.uniform(-2.0, 2.0, (15, 3))
         batch = kinetic_energy_batch(model, qs, dqs)
         for i in range(15):
-            assert batch[i] == pytest.approx(kinetic_energy(model, qs[i], dqs[i]), abs=1e-12)
+            assert batch[i] == pytest.approx(energy(model, qs[i], dqs[i]), abs=1e-12)
 
     def test_energy_scales_with_squared_speed(self):
         model = spatial_three_link()
         q = np.array([0.4, -0.8, 0.2])
         dq = np.array([1.0, -0.5, 0.7])
-        e1 = kinetic_energy(model, q, dq)
-        e2 = kinetic_energy(model, q, 2.0 * dq)
+        e1 = energy(model, q, dq)
+        e2 = energy(model, q, 2.0 * dq)
         assert e2 == pytest.approx(4.0 * e1, rel=1e-6)
 
 
@@ -158,15 +160,6 @@ class TestConservativeBounds:
             moved = np.linalg.norm(after - before, axis=-1).max()
             assert moved <= model.motion_bound * np.abs(delta).max() + 1e-12
 
-    def test_reach_radius_contains_all_surface_points(self):
-        model = spatial_three_link()
-        rng = np.random.default_rng(10)
-        qs = rng.uniform(-2.9, 2.9, (200, 3))
-        pts = capsule_points_batch(model, qs)
-        radii = np.array([c[3] for c in model.capsules])
-        dist = np.linalg.norm(pts, axis=-1) + radii[None, :, None]
-        assert np.all(dist <= model.reach_radius + 1e-9)
-
 
 class TestValidation:
     def test_as_joint_vector_rejects_bad_input(self):
@@ -180,8 +173,17 @@ class TestValidation:
         assert not out.flags.writeable
 
     def test_capsule_requires_positive_radius(self):
-        with pytest.raises(ValueError):
-            Capsule([0, 0, 0], [1, 0, 0], 0.0)
+        limits = KinematicLimits(q_min=[-1.0], q_max=[1.0], v_max=[1.0],
+                                 a_max=[1.0], j_max=[1.0])
+        for radius in (0.0, -0.1, np.nan):
+            with pytest.raises(ValueError):
+                RobotModel(
+                    joint_offsets=[[0.0, 0.0, 0.0]],
+                    joint_axes=[[0.0, 0.0, 1.0]],
+                    capsules=((0, [0, 0, 0], [1, 0, 0], radius),),
+                    masses=((0, [0, 0, 0], 1.0),),
+                    limits=limits,
+                )
 
     def test_limits_validation(self):
         with pytest.raises(ValueError):

@@ -3,26 +3,16 @@
 import numpy as np
 import pytest
 
-from chunkshield.model import (
-    Capsule,
-    KinematicLimits,
-    RobotModel,
-    capsule_points_batch,
-    forward_kinematics,
-)
+from chunkshield.model import KinematicLimits, RobotModel, capsule_points_batch
 from chunkshield.occupancy import (
-    Ball,
     ObstacleState,
-    RobotOccupancy,
     TimeInterval,
-    distance,
-    intersects,
-    obstacle_occupancy,
+    capsule_clearance,
     robot_occupancy,
-    segment_point_distance,
+    segment_closest,
 )
 from chunkshield.trajectory import Trajectory, plan_intended
-from oracles import capsule_ball_distance_sampled
+from oracles import capsule_ball_distance_sampled, segment_point_distance
 
 from test_model import planar_two_link, spatial_three_link
 
@@ -44,19 +34,17 @@ class TestObstacleOccupancy:
     def test_static_obstacle_radius(self):
         obs = ObstacleState([1.0, 0.0, 0.0], shape_radius=0.07,
                             v_max_obj=0.0, meas_error=0.0, meas_time=0.0)
-        ball = obstacle_occupancy(obs, TimeInterval(0.0, 5.0))
-        assert ball.radius == pytest.approx(0.07)
+        assert obs.occupancy_radius(5.0) == pytest.approx(0.07)
 
     def test_linear_growth(self):
         obs = ObstacleState([0.0, 0.0, 0.0], shape_radius=0.05,
                             v_max_obj=1.0, meas_error=0.01, meas_time=0.0)
-        ball = obstacle_occupancy(obs, TimeInterval(0.0, 0.2))
-        assert ball.radius == pytest.approx(0.26)
+        assert obs.occupancy_radius(0.2) == pytest.approx(0.26)
 
     def test_radius_monotone_in_horizon(self):
         obs = ObstacleState([0.0, 0.0, 0.0], shape_radius=0.05,
                             v_max_obj=0.8, meas_error=0.01, meas_time=1.0)
-        radii = [obstacle_occupancy(obs, TimeInterval(1.0, 1.0 + tb)).radius
+        radii = [obs.occupancy_radius(1.0 + tb)
                  for tb in np.linspace(0.0, 1.0, 17)]
         assert np.all(np.diff(radii) >= 0.0)
 
@@ -64,13 +52,13 @@ class TestObstacleOccupancy:
         obs = ObstacleState([0.0, 0.0, 0.0], shape_radius=0.05,
                             v_max_obj=0.8, meas_error=0.01, meas_time=1.0)
         with pytest.raises(ValueError):
-            obstacle_occupancy(obs, TimeInterval(0.5, 2.0))
+            obs.occupancy_radius(0.5)
 
     def test_monte_carlo_positions_inside_ball(self):
         rng = np.random.default_rng(21)
         obs = ObstacleState([0.3, -0.2, 0.5], shape_radius=0.04,
                             v_max_obj=0.9, meas_error=0.008, meas_time=2.0)
-        ball = obstacle_occupancy(obs, TimeInterval(2.0, 2.4))
+        radius = obs.occupancy_radius(2.4)
         for _ in range(300):
             offset = rng.normal(size=3)
             offset *= rng.uniform(0.0, obs.meas_error) / np.linalg.norm(offset)
@@ -84,16 +72,37 @@ class TestObstacleOccupancy:
                 pos = pos + step
                 t += dt
                 # Center must stay within radius minus the shape.
-                assert np.linalg.norm(pos - ball.center) <= ball.radius \
+                assert np.linalg.norm(pos - obs.measured_center) <= radius \
                     - obs.shape_radius + 1e-12
+
+    def test_non_finite_fields_rejected(self):
+        good = dict(measured_center=[0.0, 0.0, 0.0], shape_radius=0.05,
+                    v_max_obj=0.8, meas_error=0.01, meas_time=1.0)
+        ObstacleState(**good)
+        for name, bad in [("measured_center", [0.0, np.nan, 0.0]),
+                          ("measured_center", [np.inf, 0.0, 0.0]),
+                          ("shape_radius", np.nan), ("v_max_obj", np.inf),
+                          ("meas_error", np.nan), ("meas_time", np.nan),
+                          ("meas_time", -np.inf), ("v_max_obj", -0.1)]:
+            with pytest.raises(ValueError):
+                ObstacleState(**dict(good, **{name: bad}))
+
+
+def one_capsule_clearance(p0, p1, rc, center, rb):
+    return float(capsule_clearance(np.array([p0], dtype=float),
+                                   np.array([p1], dtype=float),
+                                   np.array([rc]), center, rb))
 
 
 class TestDistance:
     def test_tangency_and_penetration(self):
-        cap = Capsule([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 0.1)
-        assert distance(cap, Ball([0.5, 0.2, 0.0], 0.1)) == pytest.approx(0.0, abs=1e-12)
-        assert distance(cap, Ball([0.5, 0.0, 0.0], 0.05)) == pytest.approx(-0.15, abs=1e-12)
-        assert distance(cap, Ball([2.0, 0.0, 0.0], 0.1)) == pytest.approx(0.8, abs=1e-12)
+        cap = ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 0.1)
+        assert one_capsule_clearance(*cap, [0.5, 0.2, 0.0], 0.1) \
+            == pytest.approx(0.0, abs=1e-12)
+        assert one_capsule_clearance(*cap, [0.5, 0.0, 0.0], 0.05) \
+            == pytest.approx(-0.15, abs=1e-12)
+        assert one_capsule_clearance(*cap, [2.0, 0.0, 0.0], 0.1) \
+            == pytest.approx(0.8, abs=1e-12)
 
     def test_matches_sampling_oracle(self):
         rng = np.random.default_rng(31)
@@ -103,19 +112,19 @@ class TestDistance:
             rc = rng.uniform(0.01, 0.2)
             center = rng.uniform(-1.5, 1.5, 3)
             rb = rng.uniform(0.0, 0.3)
-            cap = Capsule(p0, p1, rc)
-            ball = Ball(center, rb)
             ref = capsule_ball_distance_sampled(p0, p1, rc, center, rb)
-            assert distance(cap, ball) == pytest.approx(ref, abs=1e-6)
+            assert one_capsule_clearance(p0, p1, rc, center, rb) \
+                == pytest.approx(ref, abs=1e-6)
 
     def test_segment_point_distance_broadcasts(self):
         p0 = np.zeros((4, 2, 3))
         p1 = np.zeros((4, 2, 3))
         p1[..., 0] = 1.0
         point = np.array([0.5, 1.0, 0.0])
-        d = segment_point_distance(p0, p1, point)
-        assert d.shape == (4, 2)
+        d, foot = segment_closest(p0, p1, point)
+        assert d.shape == (4, 2) and foot.shape == (4, 2, 3)
         assert np.allclose(d, 1.0)
+        assert np.allclose(foot, [0.5, 0.0, 0.0])
 
 
 class TestRobotOccupancy:
@@ -123,14 +132,14 @@ class TestRobotOccupancy:
         model = one_joint_arm()
         traj = Trajectory.hold([0.7], 1.0)
         occ = robot_occupancy(model, traj, TimeInterval(0.0, 1.0), n_sub=3)
-        caps = forward_kinematics(model, [0.7])
+        caps = capsule_points_batch(model, [[0.7]])[0]
         assert occ.n_intervals == 3
         for i in range(3):
-            for c, cap in enumerate(caps):
-                assert np.allclose(occ.p0[i, c], cap.p0, atol=1e-12)
-                assert np.allclose(occ.p1[i, c], cap.p1, atol=1e-12)
+            for c, (_, _, _, radius) in enumerate(model.capsules):
+                assert np.allclose(occ.p0[i, c], caps[c, 0], atol=1e-12)
+                assert np.allclose(occ.p1[i, c], caps[c, 1], atol=1e-12)
                 assert occ.radii[i, c] == pytest.approx(
-                    cap.radius + model.tracking_error, abs=1e-12)
+                    radius + model.tracking_error, abs=1e-12)
 
     def test_sweep_contains_interior_configurations(self):
         model = one_joint_arm()
@@ -144,8 +153,8 @@ class TestRobotOccupancy:
         link_r = model.capsules[0][3]
         for k in range(pts.shape[0]):
             for end in range(2):
-                d = segment_point_distance(occ.p0[0, 0], occ.p1[0, 0],
-                                           pts[k, 0, end])
+                d, _ = segment_closest(occ.p0[0, 0], occ.p1[0, 0],
+                                       pts[k, 0, end])
                 assert d + link_r <= occ.radii[0, 0] + 1e-9
 
     def test_refinement_shrinks_inflation(self):
@@ -165,10 +174,12 @@ class TestRobotOccupancy:
         occ = robot_occupancy(model, traj, window, n_sub=6)
         obs = ObstacleState([0.4, 0.1, 0.5], shape_radius=0.05,
                             v_max_obj=0.5, meas_error=0.01, meas_time=0.0)
-        margins = occ.margins(obs)
+        margins = occ.margins_batch([obs])[0]
         for i in range(occ.n_intervals):
-            ball = obstacle_occupancy(obs, occ.interval(i))
-            ref = min(distance(cap, ball) for cap in occ.capsules(i))
+            ball_r = obs.occupancy_radius(occ.t_edges[i + 1])
+            ref = min(segment_point_distance(obs.measured_center, occ.p0[i, c],
+                                             occ.p1[i, c]) - occ.radii[i, c]
+                      - ball_r for c in range(occ.radii.shape[1]))
             assert margins[i] == pytest.approx(ref, abs=1e-12)
 
     def test_intersects_flags(self):
@@ -177,8 +188,10 @@ class TestRobotOccupancy:
         occ = robot_occupancy(model, traj, TimeInterval(0.0, 0.5), n_sub=2)
         far = ObstacleState([1000.0, 0.0, 0.0], 0.05, 0.1, 0.0, 0.0)
         near = ObstacleState([0.3, 0.0, 0.0], 0.05, 0.1, 0.0, 0.0)
-        assert not intersects(occ, far).any()
-        assert intersects(occ, near).all()
+        margins = occ.margins_batch([far, near])
+        assert margins.shape == (2, 2)
+        assert not (margins[0] <= 0.0).any()
+        assert (margins[1] <= 0.0).all()
 
     def test_monte_carlo_containment_with_tracking_error(self):
         # Admissible tracked motion (workspace deviation <= tracking_error)
@@ -203,7 +216,7 @@ class TestRobotOccupancy:
             for c in range(len(model.capsules)):
                 for end in range(2):
                     p = pts[k, c, end] + offset
-                    d = segment_point_distance(occ.p0[i, c], occ.p1[i, c], p)
+                    d, _ = segment_closest(occ.p0[i, c], occ.p1[i, c], p)
                     assert d + link_r[c] <= occ.radii[i, c] + 1e-9
 
     def test_bad_n_sub_rejected(self):

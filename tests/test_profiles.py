@@ -173,7 +173,7 @@ class TestProfileMechanics:
         ts = np.linspace(0.0, t_cut, 200)
         for orig, cut in zip(prof.sample(ts), head.sample(ts)):
             assert np.allclose(orig, cut, atol=1e-12)
-        assert head.end_state == pytest.approx(prof.state_at(t_cut), abs=1e-12)
+        assert head.end_state == pytest.approx(prof.sample(t_cut)[:3], abs=1e-12)
 
     def test_append_brake_continuity(self):
         limits = ScalarLimits(v_max=1.2, a_max=4.0, j_max=80.0)
@@ -190,7 +190,7 @@ class TestProfileMechanics:
         assert a_end == pytest.approx(0.0, abs=1e-9)
         assert combined.duration == pytest.approx(t_switch + brake.duration, abs=1e-9)
         assert s_end == pytest.approx(
-            prof.state_at(t_switch)[0] + brake.end_s - brake.s0, abs=1e-9
+            prof.sample(t_switch)[0] + brake.end_s - brake.s0, abs=1e-9
         )
         dense_check_limits(combined, limits)
 

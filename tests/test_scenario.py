@@ -1,11 +1,10 @@
-"""Config parsing, robot loading, and trace/replay serialization tests."""
+"""Config parsing, robot loading, and trace serialization tests."""
 
 import os
 
 import numpy as np
 import pytest
 
-from chunkshield.chunks import ActionChunk
 from chunkshield.model import RobotModel, KinematicLimits, capsule_points_batch
 from chunkshield.scenario import (
     ObstacleSpec,
@@ -14,14 +13,12 @@ from chunkshield.scenario import (
     ScenarioError,
     load_robot,
     load_scenario,
-    read_replay,
     read_trace,
     resolve_robot_path,
     robot_from_dict,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    write_replay,
     write_trace,
 )
 
@@ -130,6 +127,34 @@ def test_obstacle_validation():
         ObstacleSpec(pattern="teleport", shape_radius=0.1, v_max_obj=0.5)
 
 
+def test_obstacle_rejects_non_finite_values():
+    good = dict(pattern="circle", shape_radius=0.05, v_max_obj=0.4,
+                center=(0.3, 0.3, 0.5), radius_path=0.2, omega=1.5, phase=0.7)
+    ObstacleSpec(**good)
+    for name, bad in [("shape_radius", float("nan")), ("v_max_obj", float("inf")),
+                      ("meas_error", float("nan")), ("radius_path", float("nan")),
+                      ("omega", float("nan")), ("phase", float("inf")),
+                      ("center", (0.3, float("nan"), 0.5))]:
+        with pytest.raises(ScenarioError):
+            ObstacleSpec(**dict(good, **{name: bad}))
+    with pytest.raises(ScenarioError):
+        ObstacleSpec(pattern="static", shape_radius=0.05, v_max_obj=0.0,
+                     p0=(float("inf"), 0.0, 0.0))
+
+
+def test_scenario_rejects_non_finite_values():
+    import dataclasses
+
+    cfg = sample_config()
+    for name in ("t_safe", "energy_margin", "dt_action", "alpha_s", "duration"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ScenarioError, match=name):
+                dataclasses.replace(cfg, **{name: bad})
+    raw = dict(scenario_to_dict(cfg), t_safe=float("nan"))
+    with pytest.raises(ScenarioError, match="t_safe"):
+        scenario_from_dict(raw)
+
+
 def _robot_dict():
     return {
         "joint_offsets": [[0.0, 0.0, 0.4], [0.0, 0.0, 0.0]],
@@ -221,30 +246,3 @@ def test_trace_requires_columns(tmp_path):
     path.write_text("# chunkshield-trace v1\n", encoding="utf-8")
     with pytest.raises(ScenarioError, match="column header"):
         read_trace(str(path))
-
-
-def test_replay_roundtrip(tmp_path):
-    rng = np.random.default_rng(5)
-    chunks = [ActionChunk(deltas=rng.uniform(-0.05, 0.05, (4, 3)), dt=0.1,
-                          issued_at=0.4 * i) for i in range(3)]
-    path = tmp_path / "chunks.csv"
-    write_replay(str(path), chunks)
-    loaded = read_replay(str(path))
-    assert len(loaded) == 3
-    for orig, got in zip(chunks, loaded):
-        assert got.dt == orig.dt
-        assert np.array_equal(got.deltas, orig.deltas)
-
-
-def test_replay_validation(tmp_path):
-    path = tmp_path / "bad.csv"
-    with pytest.raises(ScenarioError, match="empty"):
-        write_replay(str(path), [])
-    chunks = [ActionChunk(deltas=np.zeros((4, 3)), dt=0.1),
-              ActionChunk(deltas=np.zeros((2, 3)), dt=0.1)]
-    with pytest.raises(ScenarioError, match="share"):
-        write_replay(str(path), chunks)
-    missing = tmp_path / "headerless.csv"
-    missing.write_text("0.0,0.0,0.0\n", encoding="utf-8")
-    with pytest.raises(ScenarioError, match="header"):
-        read_replay(str(missing))

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from chunkshield.model import capsule_points_batch, forward_kinematics
-from chunkshield.occupancy import (
-    Ball,
-    ObstacleState,
-    TimeInterval,
-    distance,
-    segment_point_distance,
-)
+from chunkshield.model import capsule_points_batch
+from chunkshield.occupancy import ObstacleState, TimeInterval, segment_closest
 from chunkshield.profiles import ScalarLimits, ScalarProfile
 from chunkshield.shield import (
     HANDOFF_TOL,
@@ -22,6 +16,7 @@ from chunkshield.shield import (
 )
 from chunkshield.trajectory import GeometricPath, Trajectory, plan_intended
 
+from oracles import segment_point_distance
 from test_model import planar_two_link, tip_position, tip_velocity
 
 ALPHA = 0.001
@@ -91,8 +86,9 @@ class TestBrakeAndRecover:
         for _ in range(4000):
             obs = static_obstacle(tip_goal, obs_r, shield.t)
             cmd, info = shield.step([obs])
-            caps = forward_kinematics(model, cmd.q)
-            d = min(distance(c, Ball(tip_goal, obs_r)) for c in caps)
+            caps = capsule_points_batch(model, cmd.q[None, :])[0]
+            d = min(segment_point_distance(tip_goal, caps[c, 0], caps[c, 1])
+                    - model.capsules[c][3] - obs_r for c in range(len(caps)))
             min_true = min(min_true, d)
             # Interventions only retime: commands stay on the straight path.
             assert segment_distance_nd(q0, goal, cmd.q) <= 1e-9
@@ -256,8 +252,7 @@ class TestVerify:
             ts = np.linspace(0.0, traj.duration, 1500)
             q, _, _, _ = traj.sample(ts)
             pts = capsule_points_batch(model, q)
-            d = segment_point_distance(pts[:, :, 0, :], pts[:, :, 1, :],
-                                       center)
+            d, _ = segment_closest(pts[:, :, 0, :], pts[:, :, 1, :], center)
             obs_r = obs.shape_radius + obs.meas_error + obs.v_max_obj * ts
             truth = float((d - link_r[None, :] - obs_r[:, None]).min())
             assert verdict.min_margin <= truth + 1e-12
@@ -292,3 +287,37 @@ class TestConfig:
             SafetySpec(mode="ssm", t_safe=0.1)
         with pytest.raises(ValueError):
             SafetySpec(mode="pfl", t_safe=-1.0)
+
+    def test_spec_rejects_non_finite_thresholds(self):
+        for field in ("t_safe", "energy_margin", "delta_e"):
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError):
+                    SafetySpec(mode="pfl", **{field: bad})
+
+
+class TestFailClosed:
+    def test_measurement_after_step_start_is_not_adopted(self):
+        # Stamped half a second late, the obstacle's occupancy radius would
+        # shrink over the window and its margin would read positive.
+        model = planar_two_link()
+        shield = Shield(model, ssm_spec(), ALPHA, np.zeros(2))
+        obs = static_obstacle([0.9, 0.0, 0.0], 0.05, shield.t + 0.5,
+                              v_max_obj=1.0)
+        cmd, info = shield.step([obs])
+        assert not info.adopted and info.phase == "FAILSAFE"
+        assert info.verdict.min_margin == -np.inf
+        assert info.verdict.first_violation[0] == 0
+        assert np.all(cmd.q == 0.0)
+
+    def test_non_finite_margin_is_not_adopted(self):
+        # ObstacleState rejects a NaN center; one that got past construction
+        # must still read as possibly intersecting, not as clear.
+        model = planar_two_link()
+        shield = Shield(model, ssm_spec(), ALPHA, np.zeros(2))
+        far = static_obstacle([3.0, 0.0, 0.0], 0.1, shield.t)
+        bad = static_obstacle([3.0, 0.0, 0.0], 0.1, shield.t)
+        object.__setattr__(bad, "measured_center", np.array([np.nan, 0.0, 0.0]))
+        cmd, info = shield.step([far, bad])
+        assert not info.adopted
+        assert info.verdict.first_violation[0] == 1
+        assert np.all(cmd.q == 0.0)

@@ -6,7 +6,7 @@ import pytest
 from test_model import planar_two_link, tip_velocity
 
 from chunkshield.model import capsule_points_batch
-from chunkshield.occupancy import segment_point_distance
+from chunkshield.occupancy import segment_closest
 from chunkshield.scenario import (ObstacleSpec, PlannerSpec, ScenarioConfig,
                                   read_trace)
 from chunkshield.sim import (
@@ -43,7 +43,7 @@ def arm_capsules(model, q):
 
 
 def surface_clearance(p0, p1, r, pos, shape_radius):
-    d = segment_point_distance(p0, p1, pos) - r
+    d = segment_closest(p0, p1, pos)[0] - r
     return float(d.min()) - shape_radius
 
 
