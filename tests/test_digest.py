@@ -13,6 +13,9 @@ import os
 import numpy as np
 import pytest
 
+from test_model import planar_two_link
+from test_sim import BLOCK, sweep_config
+
 from chunkshield.scenario import load_robot, load_scenario, resolve_robot_path
 from chunkshield.sim import compute_metrics, run_rollout
 
@@ -22,7 +25,9 @@ TRACE_FIELDS = ("t", "q_cmd", "dq_cmd", "q_true", "phase", "source", "adopted",
                 "stopped_unsafe", "min_margin", "max_energy", "plan_idx",
                 "obs_true")
 
-# (scenario, filter, seed) -> (trace digest, metrics digest)
+# (scenario, filter, seed) -> (trace digest, metrics digest). "clamp" is the
+# two-link arm of test_sim pushed past its joint box (see load_case); it is
+# the only case with planning failures and clamped chunks.
 GOLDEN = {
     ("adversarial_chase", "pacs", 3): (
         "a4659157cccefce694d0b27ab0aaf7200a2e6e1d2fef200e63b2806c1679ca00",
@@ -42,13 +47,37 @@ GOLDEN = {
     ("interception", "off", 0): (
         "9794e6632827ac79861e325b96f951f91c6c63b7bca6dc962dfcacc8d10bd675",
         "70b7e808a327b158f89c7c01ee690145c982a70633080175e8dc531cee0fbd13"),
+    ("multigoal_free", "pacs-single", 0): (
+        "ba64ffb364e018cf2670a26285652f854179e318d78a3b0db575b2d2d882fd0a",
+        "23c5a08d48a8216aa4b2af10099bb54b2d511c8978be854494b9ef7777c8ded6"),
+    ("clamp", "pacs", 7): (
+        "f645753650e55fbf1ade87d74cc25c7bc9eb4a7a9bd1bd61ba8eda3356aa001c",
+        "6a7634fba2ae9c9e2b9e9c3bfa34dcb51a86f7c2ac889761fb4f41d834077b9f"),
+    ("clamp", "pacs-single", 7): (
+        "ccb57dd0c30713880ae009d99cbaa6923cb10602380560f92b27e0066bb5224a",
+        "9801558ef1deefa30a2e3921e6766152fd4cb0a198c829ab082dbedf16b23fb1"),
+    ("clamp", "cbf", 7): (
+        "3cdede18e5e4d7040f7145ee5e46bfab8f61e86ffc139e3cb425654d44bb9b6d",
+        "6a7634fba2ae9c9e2b9e9c3bfa34dcb51a86f7c2ac889761fb4f41d834077b9f"),
+    ("clamp", "off", 7): (
+        "ee69d1c7fc6ef522587446949a6c3d079235cf053fa145e97385db4117718822",
+        "6a7634fba2ae9c9e2b9e9c3bfa34dcb51a86f7c2ac889761fb4f41d834077b9f"),
 }
 
 
-def digests(scenario, filter_name, seed):
+def load_case(scenario):
+    if scenario == "clamp":
+        cfg = sweep_config("clamp", obstacles=(BLOCK,), duration=1.0,
+                           noise=0.5, q_start=(2.9, 0.0), goal=(9.0, 0.3),
+                           step_cap=0.1)
+        return cfg, planar_two_link()
     path = os.path.join(SCENARIO_DIR, f"{scenario}.yaml")
     cfg = load_scenario(path)
-    model = load_robot(resolve_robot_path(path, cfg))
+    return cfg, load_robot(resolve_robot_path(path, cfg))
+
+
+def digests(scenario, filter_name, seed):
+    cfg, model = load_case(scenario)
     trace = run_rollout(cfg, model, filter_name, seed)
     metrics = compute_metrics(trace, model, cfg)
     h = hashlib.sha256()
