@@ -17,18 +17,20 @@ import numpy as np
 from .model import RobotModel, as_joint_vector, capsule_points_batch
 from .occupancy import capsule_clearance
 
+# Central finite-difference step (rad) of the barrier gradient.
+_FD_STEP = 1e-5
+
 
 @dataclass(frozen=True)
 class CbfParams:
-    """Barrier gain (1/s), standoff distance (m), and gradient FD step (rad)."""
+    """Barrier gain (1/s) and standoff distance (m)."""
 
     gamma: float = 5.0
     d_min: float = 0.05
-    fd_step: float = 1e-5
 
     def __post_init__(self):
-        if self.gamma <= 0.0 or self.d_min < 0.0 or self.fd_step <= 0.0:
-            raise ValueError("gamma and fd_step must be > 0, d_min >= 0")
+        if self.gamma <= 0.0 or self.d_min < 0.0:
+            raise ValueError("gamma must be > 0, d_min >= 0")
 
 
 def clearance(model: RobotModel, q, obstacles) -> float:
@@ -61,10 +63,10 @@ def barrier_gradient(model: RobotModel, params: CbfParams, q,
     grad = np.zeros(q.shape[0])
     for j in range(q.shape[0]):
         step = np.zeros_like(q)
-        step[j] = params.fd_step
+        step[j] = _FD_STEP
         hi = barrier_value(model, params, q + step, obstacles)
         lo = barrier_value(model, params, q - step, obstacles)
-        grad[j] = (hi - lo) / (2.0 * params.fd_step)
+        grad[j] = (hi - lo) / (2.0 * _FD_STEP)
     return grad
 
 

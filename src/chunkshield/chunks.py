@@ -48,7 +48,6 @@ class WaypointPath:
     """Integrated positions q0..qh plus a clamp audit flag."""
 
     waypoints: np.ndarray
-    source_chunk_time: float
     clamped: bool = False
 
     def __post_init__(self):
@@ -72,9 +71,7 @@ def integrate_chunk(q0, chunk: ActionChunk, h: int,
     raw = np.vstack([q0, q0 + np.cumsum(chunk.deltas[:h], axis=0)])
     clipped = np.clip(raw, limits.q_min, limits.q_max)
     clamped = bool(np.any(clipped != raw))
-    return WaypointPath(waypoints=clipped,
-                        source_chunk_time=chunk.issued_at,
-                        clamped=clamped)
+    return WaypointPath(waypoints=clipped, clamped=clamped)
 
 
 @dataclass
@@ -103,13 +100,6 @@ class ScriptedPlanner:
             raise ValueError("horizon must be >= 1 and step_cap > 0")
         if not (0.0 <= self.noise <= 1.0):
             raise ValueError("noise is a fraction of step_cap in [0, 1]")
-
-    def reset(self):
-        self._active = 0
-
-    @property
-    def final_goal(self) -> np.ndarray:
-        return self.goals[-1]
 
     def propose(self, t: float, state: JointState, rng) -> ActionChunk:
         q = state.q

@@ -26,6 +26,10 @@ from .trajectory import Trajectory
 # trajectory; larger gaps mean the chunk was integrated from stale state.
 HANDOFF_TOL = 1e-6
 
+# Most subintervals one verification splits its window into; longer
+# windows merge safety steps proportionally.
+_N_SUB_CAP = 64
+
 
 @dataclass(frozen=True)
 class SafetySpec:
@@ -42,7 +46,6 @@ class SafetySpec:
     t_safe: float = 0.0
     energy_margin: float = 0.0
     delta_e: float = 0.05
-    n_sub_cap: int = 64
 
     def __post_init__(self):
         if self.mode not in ("ssm", "pfl"):
@@ -52,8 +55,6 @@ class SafetySpec:
             raise ValueError("thresholds and margins must be finite and >= 0")
         if self.mode == "ssm" and self.t_safe != 0.0:
             raise ValueError("ssm requires t_safe == 0")
-        if self.n_sub_cap < 1:
-            raise ValueError("n_sub_cap must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ def verify(model: RobotModel, traj: Trajectory, window: TimeInterval,
     """Check one monitored trajectory against all obstacle occupancies.
 
     The window is split into one subinterval per safety step, capped at
-    n_sub_cap with proportional merging. SSM fails on any possible
+    _N_SUB_CAP with proportional merging. SSM fails on any possible
     intersection; PFL tolerates intersecting intervals whose robot
     kinetic-energy upper bound plus margin stays within t_safe.
 
@@ -119,7 +120,7 @@ def verify(model: RobotModel, traj: Trajectory, window: TimeInterval,
     """
     span = window.t_b - window.t_a
     n_sub = int(np.clip(np.ceil(span / alpha_s) if span > 0.0 else 1,
-                        1, spec.n_sub_cap))
+                        1, _N_SUB_CAP))
     if not obstacles:
         return Verdict(safe=True, min_margin=np.inf, max_energy=0.0,
                        first_violation=None, n_intervals=n_sub)
@@ -192,7 +193,6 @@ class Shield:
         self._intended: Trajectory | None = None
         self._staged: Trajectory | None = None
         self._switch = float(t0)
-        self._last_phase = "INTENDED"
         self.rejected_handoffs = 0
         self._recover_src: Trajectory | None = None
         self._recover_state: tuple | None = None
@@ -202,14 +202,6 @@ class Shield:
     @property
     def t(self) -> float:
         return self._t
-
-    @property
-    def phase(self) -> str:
-        return self._last_phase
-
-    @property
-    def committed(self) -> Trajectory:
-        return self._committed
 
     def commanded_state(self) -> JointState:
         return self._committed.state(self._t)
@@ -297,8 +289,8 @@ class Shield:
         stopped_unsafe = (not verdict.safe
                           and float(np.abs(command.dq).max()) == 0.0)
         self._t = t_next
-        self._last_phase = "INTENDED" if verdict.safe else "FAILSAFE"
-        info = StepInfo(verdict=verdict, phase=self._last_phase, source=source,
+        phase = "INTENDED" if verdict.safe else "FAILSAFE"
+        info = StepInfo(verdict=verdict, phase=phase, source=source,
                         adopted=verdict.safe, stopped_unsafe=stopped_unsafe,
                         wall_time=time.perf_counter() - start)
         return command, info

@@ -194,7 +194,7 @@ def run_rollout(cfg: ScenarioConfig, model: RobotModel, filter_name: str,
     q_true = np.empty((n_ticks, n))
     phase = np.zeros(n_ticks, dtype=np.int64)
     source = np.full(n_ticks, _SOURCE_CODE["none"], dtype=np.int64)
-    adopted = np.zeros(n_ticks, dtype=bool)
+    adopted = np.ones(n_ticks, dtype=bool)  # cbf and off adopt every tick
     stopped = np.zeros(n_ticks, dtype=bool)
     min_margin = np.full(n_ticks, np.nan)
     max_energy = np.full(n_ticks, np.nan)
@@ -208,34 +208,21 @@ def run_rollout(cfg: ScenarioConfig, model: RobotModel, filter_name: str,
     cur_plan = -1
     zeros = np.zeros(n)
 
-    shield = None
-    ctl = None
+    # Every filter plans each chunk from the row it last commanded, which
+    # starts at rest at q0. cbf and off follow the last plan they made; the
+    # shield verifies a plan before adopting it.
+    shield = ctl = None
     if filter_name in ("pacs", "pacs-single"):
         spec = SafetySpec(mode=cfg.mode, t_safe=cfg.t_safe,
                           energy_margin=cfg.energy_margin)
         shield = Shield(model, spec, alpha, q0)
-        single_end = -np.inf
-        pending_idx = -1
-        pending_end = -np.inf
     elif filter_name == "cbf":
         ctl = CbfController(model, CbfParams(), alpha, q0)
-        intended: Trajectory | None = None
-        q_prev = q0.copy()
-    else:
-        committed = Trajectory.hold(q0, 0.0, 0.0)
-
-    def _plan_chunk(state_q, state_dq, t_now, h_exec):
-        nonlocal planning_failures, clamped_chunks
-        state = JointState._trusted(state_q, state_dq, zeros, zeros)
-        chunk = planner.propose(t_now, state, planner_rng)
-        chunks.append(chunk)
-        wp = integrate_chunk(state_q, chunk, h_exec, model.limits)
-        clamped_chunks += int(wp.clamped)
-        try:
-            return plan_intended(wp.waypoints, state_dq, model.limits, t0=t_now)
-        except PlanningError:
-            planning_failures += 1
-            return None
+    single = filter_name == "pacs-single"
+    h_exec = 1 if single else cfg.exec_steps
+    q_last, dq_last = q0, zeros
+    followed = Trajectory.hold(q0, 0.0, 0.0)
+    adopted_end = -np.inf
 
     t = 0.0
     for k in range(n_ticks):
@@ -249,23 +236,31 @@ def run_rollout(cfg: ScenarioConfig, model: RobotModel, filter_name: str,
                 meas_error=sc.spec.meas_error,
                 meas_time=t) for sc in scripts]
 
-        if filter_name in ("pacs", "pacs-single"):
-            replan = (k % tpc == 0) if filter_name == "pacs" \
-                else t + 1e-12 >= single_end
-            if replan:
-                st = shield.commanded_state()
-                h_exec = cfg.exec_steps if filter_name == "pacs" else 1
-                traj = _plan_chunk(st.q, st.dq, shield.t, h_exec)
-                if traj is not None and shield.set_trajectory(traj):
+        # pacs-single replans once its adopted one-action plan has run out.
+        if (t + 1e-12 >= adopted_end) if single else (k % tpc == 0):
+            state = JointState._trusted(q_last, dq_last, zeros, zeros)
+            chunk = planner.propose(t, state, planner_rng)
+            chunks.append(chunk)
+            wp = integrate_chunk(q_last, chunk, h_exec, model.limits)
+            clamped_chunks += int(wp.clamped)
+            try:
+                traj = plan_intended(wp.waypoints, dq_last, model.limits, t0=t)
+            except PlanningError:
+                planning_failures += 1
+            else:
+                if shield is None:
+                    followed = traj
                     plans.append(traj)
-                    pending_idx = len(plans) - 1
-                    pending_end = traj.end_time
+                    cur_plan = len(plans) - 1
+                elif shield.set_trajectory(traj):
+                    plans.append(traj)
+
+        if shield is not None:
             cmd, info = shield.step(measured)
             if info.source == "staged" and info.adopted:
-                cur_plan = pending_idx
-                single_end = pending_end
-            q_cmd[k] = cmd.q
-            dq_cmd[k] = cmd.dq
+                # Only this tick's plan can have been staged.
+                cur_plan = len(plans) - 1
+                adopted_end = plans[cur_plan].end_time
             phase[k] = _PHASE_CODE[info.phase]
             source[k] = _SOURCE_CODE[info.source]
             adopted[k] = info.adopted
@@ -273,32 +268,15 @@ def run_rollout(cfg: ScenarioConfig, model: RobotModel, filter_name: str,
             min_margin[k] = info.verdict.min_margin
             max_energy[k] = info.verdict.max_energy
             wall[k] = info.wall_time
-        elif filter_name == "cbf":
-            if k % tpc == 0:
-                dq_est = (ctl.q - q_prev) / alpha if k > 0 else zeros
-                traj = _plan_chunk(ctl.q.copy(), dq_est, t, cfg.exec_steps)
-                if traj is not None:
-                    intended = traj
-                    plans.append(traj)
-                    cur_plan = len(plans) - 1
-            q_prev = ctl.q.copy()
-            q_ref = intended.state(t_next).q if intended is not None else q_prev
-            q_new = ctl.step(q_ref, measured)
-            q_cmd[k] = q_new
-            dq_cmd[k] = (q_new - q_prev) / alpha
-            adopted[k] = True
+        elif ctl is not None:
+            # Until a first plan exists, cbf aims at its own last command.
+            q_ref = followed.state(t_next).q if cur_plan >= 0 else q_last
+            q = ctl.step(q_ref, measured)
+            cmd = JointState._trusted(q, (q - q_last) / alpha, zeros, zeros)
         else:
-            if k % tpc == 0:
-                st = committed.state(t)
-                traj = _plan_chunk(st.q, st.dq, t, cfg.exec_steps)
-                if traj is not None:
-                    committed = traj
-                    plans.append(traj)
-                    cur_plan = len(plans) - 1
-            st = committed.state(t_next)
-            q_cmd[k] = st.q
-            dq_cmd[k] = st.dq
-            adopted[k] = True
+            cmd = followed.state(t_next)
+        q_last, dq_last = cmd.q, cmd.dq
+        q_cmd[k], dq_cmd[k] = q_last, dq_last
 
         plan_col[k] = cur_plan
         q_true[k] = q_cmd[k] + bias
@@ -361,12 +339,20 @@ def ground_truth_check(trace: RolloutTrace, model: RobotModel,
 
 
 def path_deviation(trace: RolloutTrace) -> np.ndarray:
-    """Distance from each commanded sample to its active intended path."""
-    dev = np.full(trace.n_ticks, np.nan)
-    for i, plan in enumerate(trace.plans):
-        ticks = np.nonzero(trace.plan_idx == i)[0]
-        for k in ticks:
-            dev[k] = plan.path.distance_to(trace.q_cmd[k])
+    """Distance from each commanded sample to its active intended path.
+
+    Evaluated once per trace and kept on it, read-only, so the metrics and
+    the trace file of one episode share the pass.
+    """
+    dev = getattr(trace, "_path_dev", None)
+    if dev is None:
+        dev = np.full(trace.n_ticks, np.nan)
+        for i, plan in enumerate(trace.plans):
+            ticks = np.nonzero(trace.plan_idx == i)[0]
+            for k in ticks:
+                dev[k] = plan.path.distance_to(trace.q_cmd[k])
+        dev.flags.writeable = False
+        trace._path_dev = dev
     return dev
 
 
@@ -442,8 +428,8 @@ def save_rollout_trace(path: str, trace: RolloutTrace,
                        extra_header: dict | None = None) -> None:
     """Write the per-tick trace as a deterministic CSV.
 
-    The path_dev column is recomputed here (it is derived data); wall
-    times are deliberately not part of the file.
+    The path_dev column is derived data from path_deviation; wall times
+    are deliberately not part of the file.
     """
     n_ticks, n = trace.q_cmd.shape
     n_obs = trace.obs_true.shape[1]

@@ -31,6 +31,10 @@ MERGE_TOL = 1e-9
 _CURV_ACC_BUDGET = 0.5
 _CURV_JERK_BUDGET = 0.25
 
+# Rounds of midpoint insertion plan_intended tries before giving up on a
+# spline that overshoots the joint box.
+_MAX_SUBDIVISIONS = 2
+
 
 class PlanningError(ValueError):
     """Raised when no limit-respecting trajectory exists for the request."""
@@ -305,23 +309,23 @@ def _joint_box_ok(path: GeometricPath, limits: KinematicLimits,
 
 
 def plan_intended(waypoints, dq_start, limits: KinematicLimits,
-                  min_duration: float = 0.0, t0: float = 0.0,
-                  max_subdivisions: int = 2) -> Trajectory:
+                  t0: float = 0.0) -> Trajectory:
     """Time-optimal trajectory through the waypoints, ending at rest.
 
     The first waypoint is the current position. The spline may overshoot
     the joint position box between waypoints; offending segments get a
     clamped midpoint inserted and the path is rebuilt, at most
-    max_subdivisions times before giving up.
+    _MAX_SUBDIVISIONS times before giving up. A single distinct waypoint
+    gives a zero-length hold.
     """
     pts = merge_waypoints(waypoints)
     if pts.shape[0] == 1:
-        return Trajectory.hold(pts[0], min_duration, t0=t0)
+        return Trajectory.hold(pts[0], 0.0, t0=t0)
     if np.any(pts < limits.q_min - 1e-9) or np.any(pts > limits.q_max + 1e-9):
         raise PlanningError("waypoints violate joint position limits")
 
     path = GeometricPath(pts)
-    for _ in range(max_subdivisions):
+    for _ in range(_MAX_SUBDIVISIONS):
         if np.all(_joint_box_ok(path, limits)):
             break
         pts = path.waypoints
@@ -341,14 +345,5 @@ def plan_intended(waypoints, dq_start, limits: KinematicLimits,
     scalar_limits = derive_scalar_limits(path, limits)
     ds0 = initial_path_speed(path, dq_start, scalar_limits)
     profile = time_optimal_profile(path.s_total, (0.0, ds0, 0.0), scalar_limits)
-    if profile.duration < min_duration:
-        # Pad with a terminal hold so the trajectory covers the whole
-        # horizon; geometry is unaffected.
-        durations = np.concatenate([profile.durations,
-                                    [min_duration - profile.duration]])
-        jerks = np.concatenate([profile.jerks, [0.0]])
-        profile = ScalarProfile(s0=profile.s0, v0=profile.v0, a0=profile.a0,
-                                durations=durations, jerks=jerks,
-                                brake_fallback=profile.brake_fallback)
     return Trajectory(path=path, profile=profile,
                       scalar_limits=scalar_limits, t0=t0)

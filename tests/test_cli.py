@@ -22,6 +22,7 @@ from chunkshield.scenario import (
     read_trace,
     save_scenario,
 )
+from chunkshield.trajectory import GeometricPath
 
 ROBOT2 = {
     "joint_offsets": [[0.0, 0.0, 0.0], [0.4, 0.0, 0.0]],
@@ -95,6 +96,27 @@ def test_run_writes_metrics_and_traces(workspace, capsys):
         assert header["scenario"] == "blocked"
         assert os.path.isfile(header["scenario_path"])
         assert len(rows) == 1000
+
+
+def test_run_trace_evaluates_path_deviation_once(workspace, monkeypatch):
+    # The metrics and the trace file of an episode share one pass of
+    # path_deviation: one distance evaluation per tick that follows a plan.
+    calls = []
+    distance_to = GeometricPath.distance_to
+
+    def counting(path, q):
+        calls.append(1)
+        return distance_to(path, q)
+
+    monkeypatch.setattr(GeometricPath, "distance_to", counting)
+    out = workspace / "out"
+    assert main(["run", "--scenario", str(workspace / "free.yaml"),
+                 "--filter", "pacs", "--out", str(out), "--trace"]) == 0
+    _, columns, rows = read_trace(str(out / "free_pacs_0.csv"))
+    plan = columns.index("plan")
+    planned = sum(float(r[plan]) >= 0 for r in rows)
+    assert planned > 0
+    assert len(calls) == planned
 
 
 def test_run_assert_safe_flags_violations(workspace):

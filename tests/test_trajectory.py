@@ -189,20 +189,10 @@ class TestTrajectory:
         tangent = traj.path.derivative(0.0, 1)
         assert abs(float((state.dq - dq0) @ tangent)) < 1e-9
 
-    def test_min_duration_padding_holds_end(self):
-        limits = default_limits(2)
-        pts = np.array([[0.0, 0.0], [0.05, 0.0]])
-        traj = plan_intended(pts, np.zeros(2), limits, min_duration=3.0)
-        assert traj.duration == pytest.approx(3.0)
-        late = traj.state(traj.t0 + 2.9)
-        assert np.allclose(late.q, pts[-1], atol=1e-9)
-        assert np.allclose(late.dq, 0.0, atol=1e-12)
-
     def test_all_duplicates_give_hold(self):
         limits = default_limits(2)
         pts = np.array([[0.3, -0.1], [0.3, -0.1], [0.3, -0.1]])
-        traj = plan_intended(pts, np.zeros(2), limits, min_duration=1.5)
-        assert traj.duration == pytest.approx(1.5)
+        traj = plan_intended(pts, np.zeros(2), limits)
         st = traj.state(traj.t0 + 0.7)
         assert np.allclose(st.q, [0.3, -0.1])
         assert np.allclose(st.dq, 0.0)
