@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RobotModel, as_joint_vector, capsule_points_batch
-from .occupancy import capsule_clearance
-
-# Central finite-difference step (rad) of the barrier gradient.
-_FD_STEP = 1e-5
+from .model import (RobotModel, as_joint_vector, capsule_points_batch,
+                    point_jacobians_batch)
+from .occupancy import segment_closest
 
 
 @dataclass(frozen=True)
@@ -33,6 +31,19 @@ class CbfParams:
             raise ValueError("gamma must be > 0, d_min >= 0")
 
 
+def _closest_pair(model: RobotModel, q, obstacles):
+    """Clearance, then the obstacle, link and link-axis parameter attaining it."""
+    pts = capsule_points_batch(model, np.asarray(q, dtype=float)[None, :])[0]
+    centers = np.stack([obs.measured_center for obs in obstacles])
+    radii = np.array([obs.shape_radius + obs.meas_error for obs in obstacles])
+    dist, foot = segment_closest(pts[:, 0], pts[:, 1], centers[:, None, :])
+    gaps = dist - np.array([c[3] for c in model.capsules]) - radii[:, None]
+    k, c = np.unravel_index(np.argmin(gaps), gaps.shape)
+    axis = pts[c, 1] - pts[c, 0]
+    t = (foot[k, c] - pts[c, 0]) @ axis / max(axis @ axis, np.finfo(float).tiny)
+    return float(gaps[k, c]), k, c, t
+
+
 def clearance(model: RobotModel, q, obstacles) -> float:
     """Smallest surface distance between any link and any measured obstacle.
 
@@ -40,15 +51,7 @@ def clearance(model: RobotModel, q, obstacles) -> float:
     measurement error; the baseline is reactive and does not predict
     obstacle motion.
     """
-    q = np.asarray(q, dtype=float)
-    pts = capsule_points_batch(model, q[None, :])[0]
-    link_r = np.array([c[3] for c in model.capsules])
-    best = np.inf
-    for obs in obstacles:
-        r = obs.shape_radius + obs.meas_error
-        best = min(best, float(capsule_clearance(pts[:, 0], pts[:, 1], link_r,
-                                                 obs.measured_center, r)))
-    return best
+    return _closest_pair(model, q, obstacles)[0] if obstacles else np.inf
 
 
 def barrier_value(model: RobotModel, params: CbfParams, q, obstacles) -> float:
@@ -58,16 +61,23 @@ def barrier_value(model: RobotModel, params: CbfParams, q, obstacles) -> float:
 
 def barrier_gradient(model: RobotModel, params: CbfParams, q,
                      obstacles) -> np.ndarray:
-    """Central finite-difference gradient of the barrier."""
+    """(foot - c)/|foot - c| times the chain Jacobian of foot, two FK passes.
+
+    c is the closest obstacle center and foot its closest point on the
+    closest link's axis. One-sided where the closest pair switches; zero
+    without obstacles or with c on the link axis, which has no direction.
+    """
     q = np.asarray(q, dtype=float)
-    grad = np.zeros(q.shape[0])
-    for j in range(q.shape[0]):
-        step = np.zeros_like(q)
-        step[j] = _FD_STEP
-        hi = barrier_value(model, params, q + step, obstacles)
-        lo = barrier_value(model, params, q - step, obstacles)
-        grad[j] = (hi - lo) / (2.0 * _FD_STEP)
-    return grad
+    if obstacles:
+        _, k, c, t = _closest_pair(model, q, obstacles)
+        joint, a, b, _ = model.capsules[c]
+        foot, jac = point_jacobians_batch(model, q[None, :], [joint],
+                                          [a + t * (b - a)])
+        normal = foot[0, 0] - obstacles[k].measured_center
+        dist = np.linalg.norm(normal)
+        if dist > 0.0:
+            return (normal / dist) @ jac[0, 0]
+    return np.zeros(q.shape[0])
 
 
 def filter_velocity(model: RobotModel, params: CbfParams, q, dq_des,

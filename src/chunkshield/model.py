@@ -13,9 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Step used for numerical differentiation of forward kinematics (rad).
-FD_STEP = 1e-6
-
 
 def as_joint_vector(values, n: int | None = None) -> np.ndarray:
     """Validate and convert to a 1-D float array of joint values.
@@ -195,10 +192,8 @@ class RobotModel:
         return float(worst)
 
 
-def _axis_rotations_cs(axis: np.ndarray, c: np.ndarray,
-                       s: np.ndarray) -> np.ndarray:
+def _rodrigues(axis: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Rodrigues matrices from precomputed cos/sin; axis broadcasts over c/s."""
-    axis = np.asarray(axis, dtype=float)
     ux, uy, uz = axis[..., 0], axis[..., 1], axis[..., 2]
     rot = np.empty(np.broadcast_shapes(c.shape, ux.shape) + (3, 3))
     cc = 1.0 - c
@@ -214,11 +209,6 @@ def _axis_rotations_cs(axis: np.ndarray, c: np.ndarray,
     return rot
 
 
-def _axis_rotations(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Rodrigues rotation matrices about a fixed unit axis, batched over angles."""
-    return _axis_rotations_cs(axis, np.cos(angles), np.sin(angles))
-
-
 def _chain_frames(model: RobotModel, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """World rotation (m, n, 3, 3) and origin (m, n, 3) of every joint frame."""
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
@@ -228,7 +218,7 @@ def _chain_frames(model: RobotModel, qs: np.ndarray) -> tuple[np.ndarray, np.nda
     # One fused build of all per-joint local rotations, then a short
     # composition loop; this keeps the per-call numpy dispatch count flat
     # in the joint count.
-    local = _axis_rotations_cs(model.joint_axes, np.cos(qs), np.sin(qs))
+    local = _rodrigues(model.joint_axes, np.cos(qs), np.sin(qs))
     rots = np.empty((m, n, 3, 3))
     origins = np.empty((m, n, 3))
     r_acc = np.broadcast_to(np.eye(3), (m, 3, 3))
@@ -253,36 +243,34 @@ def capsule_points_batch(model: RobotModel, qs: np.ndarray) -> np.ndarray:
                                         model._capsule_locals)
 
 
-def mass_points_batch(model: RobotModel, qs: np.ndarray) -> np.ndarray:
-    """World positions of the point masses, (m, n_masses, 3)."""
+def point_jacobians_batch(model: RobotModel, qs: np.ndarray, joints,
+                          local_points) -> tuple[np.ndarray, np.ndarray]:
+    """World positions (m, k, 3) and Jacobians (m, k, 3, n) of frame-fixed points.
+
+    Point i sits at local_points[i] in the frame of joint joints[i]. Column
+    j of its Jacobian is w_j x (p - o_j) for j <= joints[i], with w_j the
+    world axis and o_j the origin of joint j, and zero for later joints.
+    """
     rots, origins = _chain_frames(model, qs)
-    r = rots[:, model._mass_joints]
-    o = origins[:, model._mass_joints]
-    return o + np.einsum("mkij,kj->mki", r, model._mass_locals)
+    points = origins[:, joints] + np.einsum("mkij,kj->mki", rots[:, joints],
+                                            local_points)
+    axes = np.einsum("mnij,nj->mni", rots, model.joint_axes)
+    cols = np.cross(axes[:, None], points[:, :, None] - origins[:, None])
+    cols[:, np.arange(model.n_joints) > np.asarray(joints)[:, None]] = 0.0
+    return points, cols.swapaxes(-1, -2)
 
 
 def point_velocities_batch(model: RobotModel, qs: np.ndarray, dqs: np.ndarray) -> np.ndarray:
     """Linear velocities of all mass points for a batch of states, (m, n_masses, 3).
 
-    Central finite differences of forward kinematics along the velocity
-    direction, step FD_STEP rad; exact to O(step^2), which is far below the
-    energy margins used by the verification layer.
+    Chain Jacobian times dq from one forward kinematics pass, exact to round-off.
     """
-    qs = np.atleast_2d(np.asarray(qs, dtype=float))
     dqs = np.atleast_2d(np.asarray(dqs, dtype=float))
-    if qs.shape != dqs.shape:
+    if np.atleast_2d(qs).shape != dqs.shape:
         raise ValueError("qs and dqs must have matching shapes")
-    speed = np.linalg.norm(dqs, axis=1)
-    out = np.zeros((qs.shape[0], len(model.masses), 3))
-    moving = speed > 0.0
-    if not np.any(moving):
-        return out
-    qm = qs[moving]
-    dm = dqs[moving] / speed[moving, None]
-    plus = mass_points_batch(model, qm + FD_STEP * dm)
-    minus = mass_points_batch(model, qm - FD_STEP * dm)
-    out[moving] = (plus - minus) / (2.0 * FD_STEP) * speed[moving, None, None]
-    return out
+    _, jac = point_jacobians_batch(model, qs, model._mass_joints,
+                                   model._mass_locals)
+    return np.einsum("mkin,mn->mki", jac, dqs)
 
 
 def kinetic_energy_batch(model: RobotModel, qs: np.ndarray, dqs: np.ndarray) -> np.ndarray:

@@ -112,7 +112,7 @@ def verify(model: RobotModel, traj: Trajectory, window: TimeInterval,
     The check fails closed. A margin that is not a finite positive number
     counts as possibly intersecting, and so does every subinterval of an
     obstacle measured after window.t_a, whose occupancy ball would shrink
-    backwards in time.
+    backwards in time. A PFL energy bound not <= t_safe (NaN too) is over.
 
     cache, when given, carries the occupancy (stored with window-relative
     times) and edge energies across calls whose candidate differs only by
@@ -166,7 +166,7 @@ def verify(model: RobotModel, traj: Trajectory, window: TimeInterval,
         bounds = (1.0 + spec.delta_e) * np.maximum(energies[bad],
                                                    energies[bad + 1])
         max_energy = max(max_energy, float(bounds.max()))
-        over = bounds + spec.energy_margin > spec.t_safe
+        over = ~(bounds + spec.energy_margin <= spec.t_safe)
         if np.any(over):
             safe = False
             if first_violation is None:

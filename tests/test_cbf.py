@@ -23,8 +23,8 @@ def obstacle(center, radius, meas_error=0.0):
                          v_max_obj=0.0, meas_error=meas_error, meas_time=0.0)
 
 
-def planar_clearance_ref(q, center, radius, meas_error=0.0):
-    """Clearance for the two-link arm, written independently with scalar math."""
+def planar_link_gaps(q, center, radius, meas_error=0.0):
+    """Per-link clearances for the two-link arm, written independently with scalar math."""
 
     def seg_dist(ax, ay, bx, by, px, py):
         dx, dy = bx - ax, by - ay
@@ -40,7 +40,11 @@ def planar_clearance_ref(q, center, radius, meas_error=0.0):
     px, py = center[0], center[1]
     d1 = seg_dist(0.0, 0.0, elbow[0], elbow[1], px, py) - 0.05
     d2 = seg_dist(elbow[0], elbow[1], tip[0], tip[1], px, py) - 0.04
-    return min(d1, d2) - radius - meas_error
+    return d1 - radius - meas_error, d2 - radius - meas_error
+
+
+def planar_clearance_ref(q, center, radius, meas_error=0.0):
+    return min(planar_link_gaps(q, center, radius, meas_error))
 
 
 class TestBarrier:
@@ -77,6 +81,41 @@ class TestBarrier:
                 assert grad[j] == pytest.approx(ref, abs=5e-4)
             checked += 1
         assert checked >= 20
+
+    def test_gradient_matches_fd_of_clearance_with_two_obstacles(self):
+        model = planar_two_link()
+        params = CbfParams()
+        rng = np.random.default_rng(37)
+        eps = 1e-6
+        checked = 0
+        for _ in range(60):
+            q = rng.uniform(-2.0, 2.0, 2)
+            centers = [np.array([*rng.uniform(-0.7, 0.7, 2), 0.0])
+                       for _ in range(2)]
+            obs = [obstacle(c, 0.05) for c in centers]
+            gaps = np.sort([g for c in centers
+                            for g in planar_link_gaps(q, c, 0.05)])
+            if gaps[1] - gaps[0] < 1e-3:
+                # The closest pair may switch within the difference step.
+                continue
+            grad = barrier_gradient(model, params, q, obs)
+            ref = [(clearance(model, q + step, obs)
+                    - clearance(model, q - step, obs)) / (2 * eps)
+                   for step in eps * np.eye(2)]
+            assert np.allclose(grad, ref, atol=1e-6)
+            checked += 1
+        assert checked >= 40
+
+    def test_gradient_zero_when_center_on_link_axis(self):
+        model = planar_two_link()
+        params = CbfParams()
+        q = np.zeros(2)
+        obs = [obstacle([0.5 * L1, 0.0, 0.0], 0.05)]
+        assert np.array_equal(barrier_gradient(model, params, q, obs),
+                              np.zeros(2))
+        dq_des = np.array([0.4, -0.1])
+        assert np.array_equal(filter_velocity(model, params, q, dq_des, obs),
+                              dq_des)
 
     def test_barrier_subtracts_standoff(self):
         model = planar_two_link()

@@ -30,17 +30,17 @@ TRACE_FIELDS = ("t", "q_cmd", "dq_cmd", "q_true", "phase", "source", "adopted",
 # the only case with planning failures and clamped chunks.
 GOLDEN = {
     ("adversarial_chase", "pacs", 3): (
-        "a4659157cccefce694d0b27ab0aaf7200a2e6e1d2fef200e63b2806c1679ca00",
+        "5254faf9444a8d1c47b8bd80b6128a776dc1c0af924018b04b3f262bb93f09b9",
         "e7f5f2f2423f2f1301db1c4598e0d40ae0b4c08c742dc38f2ad87ba68e4398f1"),
     ("bench", "pacs", 0): (
         "f91c25cbb1778995fdda84f99c8887350819a276e1df1138aae6a6297f2958ec",
         "f2c9d42dc26b0b0f2717ce860a06476df17e04cd5c51ce9f70da0e21deeaeb18"),
     ("circle", "pacs-single", 2): (
-        "37d3c960ae0c9d5486d4d160b5fc8ef269afb95a6c3ed41a2854c8e13869fdb5",
+        "aa33593bea6b29f7143bf1b5d3afadc8d5beeb8137ad41a031003ad9cadfb454",
         "ae98dfe5a35eaa1ca1e3247ae03e4d52d1d7169c989ecd588759eb8e745e5613"),
     ("cluttered", "cbf", 0): (
-        "dc6e629eef036dc81dc1c75e4867694a332abd43c278d1c4815ddee16bc9bb18",
-        "da76e73fe37d4055bf11efd48f8be2deafe88c4b80bdcb5ac1c3d9a9ea8d6700"),
+        "db845e521316a38aa96aa8fbedd6d757a1601b946ae45510015c2f008c901d39",
+        "83903f0bb9dfeb99f263f32aa796c562daeb7e56749b7f60ddb7caef1bed398f"),
     ("cluttered", "pacs", 0): (
         "7093634684c0d572469717f54f4b0938616d16b927c74116db37a1f477cd2546",
         "c16aef9fe35bd1fa19ee6fa144c106388347054a83b54551e3f18e926f2623ac"),

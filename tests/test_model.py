@@ -11,7 +11,7 @@ from chunkshield.model import (
     as_joint_vector,
     capsule_points_batch,
     kinetic_energy_batch,
-    mass_points_batch,
+    point_jacobians_batch,
     point_velocities_batch,
 )
 
@@ -115,7 +115,7 @@ class TestVelocitiesAndEnergy:
             q = rng.uniform(-np.pi, np.pi, 2)
             dq = rng.uniform(-2.0, 2.0, 2)
             v = point_velocities_batch(model, q[None, :], dq[None, :])[0, 0]
-            assert np.allclose(v, tip_velocity(q, dq), atol=1e-7)
+            assert np.allclose(v, tip_velocity(q, dq), atol=1e-12)
 
     def test_energy_matches_analytic(self):
         model = planar_two_link()
@@ -124,7 +124,26 @@ class TestVelocitiesAndEnergy:
             q = rng.uniform(-np.pi, np.pi, 2)
             dq = rng.uniform(-2.0, 2.0, 2)
             expected = 0.5 * 1.5 * float(tip_velocity(q, dq) @ tip_velocity(q, dq))
-            assert energy(model, q, dq) == pytest.approx(expected, abs=1e-6)
+            assert energy(model, q, dq) == pytest.approx(expected, abs=1e-12)
+
+    def test_jacobian_matches_fd_of_capsule_endpoints(self):
+        model = spatial_three_link()
+        joints = [c[0] for c in model.capsules for _ in range(2)]
+        local = np.array([p for c in model.capsules for p in (c[1], c[2])])
+        rng = np.random.default_rng(4)
+        eps = 1e-6
+        for _ in range(20):
+            q = rng.uniform(-2.0, 2.0, 3)
+            points, jac = point_jacobians_batch(model, q[None, :], joints, local)
+            ends = capsule_points_batch(model, q[None, :])[0].reshape(-1, 3)
+            assert np.allclose(points[0], ends, atol=1e-12)
+            for j in range(3):
+                step = np.zeros(3)
+                step[j] = eps
+                hi = capsule_points_batch(model, (q + step)[None, :])[0]
+                lo = capsule_points_batch(model, (q - step)[None, :])[0]
+                ref = ((hi - lo) / (2.0 * eps)).reshape(-1, 3)
+                assert np.allclose(jac[0, :, :, j], ref, atol=1e-7)
 
     def test_energy_zero_at_rest(self):
         model = spatial_three_link()

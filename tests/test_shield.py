@@ -321,3 +321,20 @@ class TestFailClosed:
         assert not info.adopted
         assert info.verdict.first_violation[0] == 1
         assert np.all(cmd.q == 0.0)
+
+    def test_non_finite_energy_is_not_adopted(self):
+        # A NaN jerk gives NaN motion: every margin and energy bound is NaN.
+        # ssm already rejects it; pfl must too, and name where.
+        model = planar_two_link()
+        path = GeometricPath(np.array([[0.0, 0.0], [0.5, 0.2]]))
+        prof = ScalarProfile(0.0, 0.0, 0.0, np.array([0.05]),
+                             np.array([np.nan]))
+        traj = Trajectory(path=path, profile=prof,
+                          scalar_limits=ScalarLimits(1.0, 1.0, 1.0), t0=0.0)
+        ball = static_obstacle([0.7, 0.0, 0.0], 0.05, 0.0)
+        window = TimeInterval(0.0, 0.05)
+        assert not verify(model, traj, window, [ball], ssm_spec(), ALPHA).safe
+        verdict = verify(model, traj, window, [ball],
+                         SafetySpec(mode="pfl", t_safe=1.0), ALPHA)
+        assert not verdict.safe
+        assert verdict.first_violation == (0, 0, 0.0, ALPHA)
